@@ -274,13 +274,16 @@ class DirectSolver:
         self._lu = spla.splu(B.tocsc())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._lu.solve(rhs)
         nrhs = np.linalg.norm(rhs)
+        if not np.isfinite(nrhs):
+            raise NumericsError("direct solve got a non-finite right-hand side")
         if nrhs == 0.0:
             return np.zeros_like(rhs)
-        if np.linalg.norm(rhs - self.B @ x) > self.REL_TOL * nrhs:
+        x = self._lu.solve(rhs)
+        # written so that a NaN residual fails the test
+        if not np.linalg.norm(rhs - self.B @ x) <= self.REL_TOL * nrhs:
             x = x + self._lu.solve(rhs - self.B @ x)  # one refinement step
-            if np.linalg.norm(rhs - self.B @ x) > self.REL_TOL * nrhs:
+            if not np.linalg.norm(rhs - self.B @ x) <= self.REL_TOL * nrhs:
                 raise NumericsError("direct solve failed to reach residual tolerance")
         return x
 

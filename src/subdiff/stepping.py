@@ -8,8 +8,9 @@ with b_j the CQ weights and s_n their partial sum.  ``run_exact`` solves every
 step with a direct factorization; ``run_iis`` solves steps beyond a short
 exact startup approximately, starting from the extrapolated guess
 2 U^{n-1} - U^{n-2} and applying a scheduled number M_n of multigrid V-cycles.
-History convolutions are evaluated directly from the stored trajectory, at
-O(n) cost per step.
+History convolutions use the exact weights over the stored trajectory, O(N^2)
+flops in all, evaluated in lag blocks (``cq.history_sums``): one GEMM per
+block of 128 steps reads the stored trajectory, instead of one GEMV per step.
 """
 
 import logging
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cq import TimeGrid, WeightTable, gen_weights
+from .cq import TimeGrid, WeightTable, gen_weights, history_sums, lag_block
 from .errors import ConfigurationError, NumericsError
 from .fem import FemSystem, l2_norm, l2_project, load_vector, ritz_project
 from .multigrid import ContractionParams, DirectSolver, MgHierarchy, vcycle
@@ -306,16 +307,15 @@ def step_rhs(spec: ProblemSpec, weights: WeightTable, history: np.ndarray,
         raise ValueError(
             f"history vectors of length {history.shape[1]} do not match system "
             f"dimension {spec.sys.dim}")
-    taua = spec.grid.tau ** spec.alpha
-    return _step_rhs(spec.sys.M, weights, history, n, taua, load)
+    hist = lag_block(weights, history, n, 1)[0]
+    return _step_rhs(spec.sys.M, weights, history[0], hist, n,
+                     spec.grid.tau ** spec.alpha, load)
 
 
-def _step_rhs(M, weights: WeightTable, U: np.ndarray, n: int, taua: float,
-              load: np.ndarray | None) -> np.ndarray:
-    L = len(weights)
-    # sum_{j=1..n} b_j U^{n-j} as a contiguous product against U^0..U^{n-1}
-    hist = weights.reversed_weights[L - 1 - n:L - 1] @ U[:n]
-    r = M @ (weights.partial_sums[n] * U[0] - hist)
+def _step_rhs(M, weights: WeightTable, U0: np.ndarray, hist: np.ndarray, n: int,
+              taua: float, load: np.ndarray | None) -> np.ndarray:
+    """Step-n right-hand side from the history sum sum_{j=1..n} b_j U^{n-j}."""
+    r = M @ (weights.partial_sums[n] * U0 - hist)
     if load is not None:
         r = r + taua * load
     return r
@@ -362,11 +362,12 @@ def _run(spec: ProblemSpec, schedule, hierarchy, record_corrections=False) -> Tr
     U = np.zeros((N + 1, sys.dim))
     U[0] = spec.initial.vector(sys)
     records = []
+    histories = history_sums(weights, U, N)
     for n in range(1, N + 1):
         t0 = time.perf_counter()
         t_n = n * tau
         load = spec.source.load_at(sys, t_n) if spec.source is not None else None
-        r = _step_rhs(sys.M, weights, U, n, taua, load)
+        r = _step_rhs(sys.M, weights, U[0], next(histories), n, taua, load)
         if exact_all or n <= startup:
             U[n] = direct.solve(r)
             records.append(StepRecord(n, t_n, True, None, 0.0,
@@ -382,6 +383,9 @@ def _run(spec: ProblemSpec, schedule, hierarchy, record_corrections=False) -> Tr
             x_next = vcycle(hierarchy, x, r)
             corrections.append(hierarchy.weighted_norm(x_next - x))
             x = x_next
+        if not math.isfinite(corrections[-1]):
+            raise NumericsError(
+                f"inner iteration produced a non-finite correction at step {n}")
         if corrections[-1] > 10.0 * corrections[0] and corrections[0] > 0.0:
             raise NumericsError(
                 f"inner iteration diverged at step {n}: correction grew from "

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import binom
 
-from subdiff.cq import TimeGrid, frac_apply, gen_weights, rl_integral_oracle
+from subdiff.cq import (HISTORY_BLOCK, TimeGrid, frac_apply, gen_weights,
+                        history_sums, rl_integral_oracle)
 from subdiff.errors import ConfigurationError
 
 
@@ -120,6 +121,50 @@ def test_frac_apply_linearity():
     lhs = frac_apply(table, 0.1, 2.0 * a - 3.0 * b)
     rhs = 2.0 * frac_apply(table, 0.1, a) - 3.0 * frac_apply(table, 0.1, b)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def plain_history(table, U, n):
+    """Oracle: sum_{j=1..n} b_j U^{n-j} as one GEMV over U^0..U^{n-1}."""
+    return table.weights[n:0:-1] @ U[:n]
+
+
+B = HISTORY_BLOCK
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(min_value=0.01, max_value=0.99),
+       N=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lag_blocked_history_matches_plain_gemv(alpha, N, seed):
+    """Blocked history sums and frac_apply against the per-step GEMV, at
+    every n, relative to sum_j |b_j| |U^{n-j}|."""
+    U = np.random.default_rng(seed).standard_normal((N + 1, 3))
+    table = gen_weights(alpha, N)
+    absw = np.abs(table.weights)
+    norms = np.linalg.norm(U, axis=1)
+    sums = list(history_sums(table, U, N))
+    assert len(sums) == N
+    frac = frac_apply(table, 1.0, U)
+    for n in range(1, N + 1):
+        hist = plain_history(table, U, n)
+        scale = absw[n:0:-1] @ norms[:n]
+        assert np.linalg.norm(sums[n - 1] - hist) <= 1e-13 * scale
+        full = scale + absw[0] * norms[n]
+        assert np.linalg.norm(frac[n] - (U[n] + hist)) <= 1e-13 * full
+    assert np.array_equal(frac[0], U[0])
+
+
+def test_history_sums_read_only_the_past():
+    """The n-th sum may be drawn while U^n.. are still unwritten."""
+    N = 2 * B + 3
+    table = gen_weights(0.5, N)
+    rng = np.random.default_rng(3)
+    U = np.full((N + 1, 2), np.nan)
+    U[0] = rng.standard_normal(2)
+    for n, hist in enumerate(history_sums(table, U, N), start=1):
+        np.testing.assert_allclose(hist, plain_history(table, U, n),
+                                   rtol=1e-13, atol=1e-15)
+        U[n] = rng.standard_normal(2)
 
 
 def test_frac_apply_validation():

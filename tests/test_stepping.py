@@ -8,16 +8,18 @@ import scipy.sparse as sp
 
 import subdiff.stepping as stepping
 from subdiff.bench import example_problem
-from subdiff.cq import TimeGrid, gen_weights, rl_integral_oracle
+from subdiff.cq import HISTORY_BLOCK, TimeGrid, gen_weights, rl_integral_oracle
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import FemSystem, assemble, build_mesh, l2_norm
-from subdiff.multigrid import (ContractionParams, GaussSeidelForward,
-                               build_hierarchy, estimate_contraction)
+from subdiff.multigrid import (ContractionParams, DirectSolver,
+                               GaussSeidelForward, build_hierarchy,
+                               estimate_contraction)
 from subdiff.stepping import (ExactSchedule, FixedIterations, L2Projected,
-                              LoadSource, LogSchedule, ProblemSpec,
-                              TheoryNonsmoothData, TheorySmoothData, ZeroInit,
-                              error_report, run_exact, run_iis, schedule_iters,
-                              step_rhs, write_trajectory_csv)
+                              LoadSource, LogSchedule, PointwiseSource,
+                              ProblemSpec, SeparableSource, TheoryNonsmoothData,
+                              TheorySmoothData, ZeroInit, error_report,
+                              run_exact, run_iis, schedule_iters, step_rhs,
+                              write_trajectory_csv)
 
 
 class NodalInit:
@@ -76,6 +78,24 @@ def test_step_rhs_validation():
         step_rhs(spec, short, np.zeros((3, sys.dim)), None)
     with pytest.raises(ValueError):
         step_rhs(spec, gen_weights(0.5, 5), np.zeros((2, sys.dim + 1)), None)
+
+
+def test_run_exact_matches_step_rhs_loop_across_lag_blocks():
+    """run_exact's lag-blocked history against a plain loop of step_rhs and
+    direct solves, at every step of a run spanning three blocks."""
+    sys = assemble(build_mesh(8), 5.0)
+    N = 2 * HISTORY_BLOCK + 3
+    spec = example_problem(1, sys, 0.5, N)
+    traj = run_exact(spec)
+    table = gen_weights(spec.alpha, N)
+    solver = DirectSolver(sys.system_matrix(spec.grid.tau, spec.alpha))
+    U = np.zeros((N + 1, sys.dim))
+    for n in range(1, N + 1):
+        load = spec.source.load_at(sys, n * spec.grid.tau)
+        U[n] = solver.solve(step_rhs(spec, table, U[:n], load))
+    scale = np.abs(U).max()
+    assert scale > 0.0
+    assert np.abs(traj.U - U).max() <= 1e-12 * scale
 
 
 # ------------------------------------------------------------- schedules
@@ -292,6 +312,38 @@ def test_divergent_inner_iteration_raises(monkeypatch):
     monkeypatch.setattr(stepping, "vcycle", blowup)
     with pytest.raises(NumericsError):
         run_iis(spec, FixedIterations(m=6), h)
+
+
+def _nan_after_half(t):
+    return np.nan if t > 0.5 else 1.0
+
+
+def _bump(x, y):
+    return (1.0 - x**2) * (1.0 - y**2)
+
+
+def _nan_source(kind, sys):
+    if kind == "pointwise":
+        return PointwiseSource(lambda x, y, t: _nan_after_half(t) * _bump(x, y))
+    if kind == "separable":
+        return SeparableSource(_nan_after_half, _bump)
+    return LoadSource(lambda t: np.full(sys.dim, _nan_after_half(t)))
+
+
+@pytest.mark.parametrize("runner", ["exact", "iis"])
+@pytest.mark.parametrize("kind", ["pointwise", "separable", "load"])
+def test_non_finite_source_fails_loudly(kind, runner):
+    sys = assemble(build_mesh(8), 5.0)
+    spec = ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=16), sys=sys,
+                       source=_nan_source(kind, sys))
+    # the mesh quadrature rejects a non-finite pointwise source before any solve
+    error = ValueError if kind == "pointwise" else NumericsError
+    with pytest.raises(error, match="non-finite"):
+        if runner == "exact":
+            run_exact(spec)
+        else:
+            h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
+            run_iis(spec, FixedIterations(m=2), h)
 
 
 @pytest.mark.parametrize("example", [1, 2])
