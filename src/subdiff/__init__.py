@@ -11,8 +11,8 @@ from .errors import ConfigurationError, NumericsError
 from .fem import (FemSystem, Mesh2D, assemble, build_mesh, l2_norm, l2_project,
                   load_vector, ritz_project, weighted_norm)
 from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
-                        MgHierarchy, build_hierarchy, direct_solve,
-                        estimate_contraction, smooth, vcycle)
+                        MgHierarchy, build_hierarchy, estimate_contraction,
+                        smooth, vcycle)
 from .stepping import (ErrorReport, ExactSchedule, FixedIterations,
                        L2Projected, LoadSource, LogSchedule, PointwiseSource,
                        ProblemSpec, RitzProjected, SeparableSource,
@@ -28,7 +28,7 @@ __all__ = [
     "Mesh2D", "FemSystem", "build_mesh", "assemble", "load_vector",
     "l2_project", "ritz_project", "l2_norm", "weighted_norm",
     "DampedJacobi", "GaussSeidelForward", "MgHierarchy", "ContractionParams",
-    "build_hierarchy", "vcycle", "smooth", "direct_solve", "estimate_contraction",
+    "build_hierarchy", "vcycle", "smooth", "estimate_contraction",
     "ProblemSpec", "ZeroInit", "L2Projected", "RitzProjected",
     "PointwiseSource", "SeparableSource", "LoadSource",
     "ExactSchedule", "FixedIterations", "LogSchedule",

@@ -23,7 +23,7 @@ from .cq import TimeGrid, gen_weights
 from .errors import ConfigurationError
 from .fem import assemble, build_mesh
 from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
-                        build_hierarchy, estimate_contraction)
+                        build_hierarchy, estimate_contraction, level_sizes)
 from .stepping import (ExactSchedule, FixedIterations, L2Projected,
                        LogSchedule, ProblemSpec, SeparableSource,
                        TheoryNonsmoothData, TheorySmoothData, ZeroInit,
@@ -44,16 +44,16 @@ __all__ = [
     "weight_table_csv",
 ]
 
-DEFAULT_NS = (10, 20, 40, 80, 160, 320)
-DEFAULT_ALPHAS = (0.2, 0.5, 0.8)
 DEFAULT_ROWS_EXAMPLE1 = ("fixed:1", "fixed:2", "fixed:3", "exact")
 DEFAULT_ROWS_EXAMPLE2 = ("log:3,0", "log:3,3", "log:3,6", "exact")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    alphas: tuple = DEFAULT_ALPHAS
-    Ns: tuple = DEFAULT_NS
+    """Settings of one benchmark command; the defaults here are the CLI's."""
+
+    alphas: tuple = (0.2, 0.5, 0.8)
+    Ns: tuple = (10, 20, 40, 80, 160, 320)
     K: int = 64
     c_A: float = 5.0
     T: float = 1.0
@@ -80,12 +80,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"N list must be strictly increasing, got {self.Ns}")
         if self.smoother not in ("gs", "jacobi"):
             raise ConfigurationError(f"smoother must be 'gs' or 'jacobi', got {self.smoother}")
-        k = self.K
-        while k > self.K0 and k % 2 == 0:
-            k //= 2
-        if k != self.K0:
-            raise ConfigurationError(
-                f"K={self.K} is not K0*2^L for coarsest K0={self.K0}")
+        level_sizes(self.K, self.K0)
         if self.ref_file is None and self.ref_N < 16 * max(self.Ns):
             raise ConfigurationError(
                 f"ref_N={self.ref_N} must be at least 16x the largest N={max(self.Ns)}")
@@ -288,24 +283,18 @@ def _run_example(cfg: ExperimentConfig, example: int, default_rows) -> ErrorTabl
     table = ErrorTable(Ns=tuple(cfg.Ns), meta=cfg.meta_line(f"example{example}"))
     for alpha in cfg.alphas:
         ref = _reference_final(cfg, sys, example, alpha)
-        hierarchies = {}
         for N in cfg.Ns:
             spec = example_problem(example, sys, alpha, N, cfg.T)
-            tau = spec.grid.tau
-            needs_mg = any(p[0] != "exact" for _, p in parsed)
-            if needs_mg:
-                hierarchies[N] = build_hierarchy(
-                    sys, tau, alpha, smoother, cfg.nu1, cfg.nu2, cfg.K0)
-            contraction = None
+            hierarchy = contraction = None
+            if any(p[0] != "exact" for _, p in parsed):
+                hierarchy = build_hierarchy(sys, spec.grid.tau, alpha, smoother,
+                                            cfg.nu1, cfg.nu2, cfg.K0)
             if any(p[0].startswith("theory") for _, p in parsed):
-                contraction = estimate_contraction(hierarchies[N], seed=cfg.seed)
+                contraction = estimate_contraction(hierarchy, seed=cfg.seed)
             for label, pspec in parsed:
                 schedule = make_schedule(pspec, cfg.startup_exact, contraction)
                 t0 = time.perf_counter()
-                if isinstance(schedule, ExactSchedule):
-                    traj = run_exact(spec)
-                else:
-                    traj = run_iis(spec, schedule, hierarchies[N])
+                traj = run_iis(spec, schedule, hierarchy)
                 err = error_report(traj, ref, sys).final
                 table.put(alpha, label, N, err, time.perf_counter() - t0)
     return table
@@ -332,13 +321,12 @@ def run_contraction_sweep(cfg: ExperimentConfig) -> ContractionReport:
     for alpha in cfg.alphas:
         for N in cfg.Ns:
             tau = cfg.T / N
-            for smoother, name in ((GaussSeidelForward(), "gs"),
-                                   (DampedJacobi(omega=cfg.omega), "jacobi")):
+            for smoother in (GaussSeidelForward(), DampedJacobi(omega=cfg.omega)):
                 h = build_hierarchy(sys, tau, alpha, smoother,
                                     cfg.nu1, cfg.nu2, cfg.K0)
                 params = estimate_contraction(h, seed=cfg.seed)
-                report.rows.append((alpha, tau, cfg.K, name, cfg.nu1, cfg.nu2,
-                                    params.kappa, params.c0))
+                report.rows.append((alpha, tau, cfg.K, smoother.name, cfg.nu1,
+                                    cfg.nu2, params.kappa, params.c0))
     return report
 
 

@@ -16,33 +16,48 @@ from .bench import (ExperimentConfig, emit_table, run_contraction_sweep,
                     run_example1, run_example2, weight_table_csv)
 from .errors import ConfigurationError, NumericsError
 
-_LIST_KEYS = {"alpha", "N", "schedule"}
+# ExperimentConfig field -> (config-file key, value type).  Each flag stores
+# into the field of its name; fields given neither way keep their defaults.
+_FIELDS = {
+    "alphas": ("alpha", float), "Ns": ("N", int), "K": ("K", int),
+    "c_A": ("cA", float), "smoother": ("smoother", str),
+    "omega": ("omega", float), "nu1": ("nu1", int), "nu2": ("nu2", int),
+    "schedules": ("schedule", str), "startup_exact": ("startup-exact", int),
+    "ref_N": ("ref-N", int), "ref_file": ("ref-file", str), "K0": ("K0", int),
+    "seed": ("seed", int),
+}
+_LIST_FIELDS = {"alphas", "Ns", "schedules"}
+PAPER_SCALE_K = 128
 
 
 def _add_common(p):
-    p.add_argument("--alpha", action="append", type=float,
-                   help="fractional order; repeatable (default 0.2 0.5 0.8)")
-    p.add_argument("--N", action="append", type=int, dest="N",
-                   help="time step count; repeatable (default 10..320 doubling)")
-    p.add_argument("--K", type=int, help="subdivisions per side (default 64)")
-    p.add_argument("--cA", type=float, help="diffusivity c in A = -c*Laplacian (default 5)")
-    p.add_argument("--smoother", choices=("jacobi", "gs"), help="V-cycle smoother (default gs)")
+    d = ExperimentConfig()
+    p.add_argument("--alpha", action="append", type=float, dest="alphas",
+                   help=f"fractional order; repeatable (default {' '.join(map(str, d.alphas))})")
+    p.add_argument("--N", action="append", type=int, dest="Ns",
+                   help=f"time step count; repeatable (default {' '.join(map(str, d.Ns))})")
+    p.add_argument("--K", type=int, help=f"subdivisions per side (default {d.K})")
+    p.add_argument("--cA", type=float, dest="c_A",
+                   help=f"diffusivity c in A = -c*Laplacian (default {d.c_A:g})")
+    p.add_argument("--smoother", choices=("jacobi", "gs"),
+                   help=f"V-cycle smoother (default {d.smoother})")
     p.add_argument("--omega", type=float, help="Jacobi damping (default 2/3)")
-    p.add_argument("--nu1", type=int, help="pre-smoothing sweeps (default 1)")
-    p.add_argument("--nu2", type=int, help="post-smoothing sweeps (default 1)")
-    p.add_argument("--schedule", action="append",
+    p.add_argument("--nu1", type=int, help=f"pre-smoothing sweeps (default {d.nu1})")
+    p.add_argument("--nu2", type=int, help=f"post-smoothing sweeps (default {d.nu2})")
+    p.add_argument("--schedule", action="append", dest="schedules",
                    help="row schedule: exact | fixed:m | log:a,b | "
                         "theory-smooth:delta | theory-nonsmooth:delta; repeatable")
     p.add_argument("--startup-exact", type=int, dest="startup_exact",
-                   help="steps solved exactly before iterating (default 2)")
+                   help=f"steps solved exactly before iterating (default {d.startup_exact})")
     p.add_argument("--ref-N", type=int, dest="ref_N",
-                   help="steps of the fine reference run (default 5120)")
+                   help=f"steps of the fine reference run (default {d.ref_N})")
     p.add_argument("--ref-file", dest="ref_file",
                    help=".npy file holding the final-time reference vector")
     p.add_argument("--paper-scale", action="store_true", dest="paper_scale",
-                   help="use K=128 (desk-scale default is K=64)")
-    p.add_argument("--K0", type=int, dest="K0", help="coarsest hierarchy level (default 4)")
-    p.add_argument("--seed", type=int, help="random seed for contraction probes (default 0)")
+                   help=f"use K={PAPER_SCALE_K} (desk-scale default is K={d.K})")
+    p.add_argument("--K0", type=int, help=f"coarsest hierarchy level (default {d.K0})")
+    p.add_argument("--seed", type=int,
+                   help=f"random seed for contraction probes (default {d.seed})")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "md"), dest="fmt",
                    help="output format (default csv)")
@@ -84,67 +99,30 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    """Combine flags over config-file values over defaults."""
-    file_vals = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, cast, default):
-        val = getattr(args, flag, None)
-        if val is not None and val is not False:
-            return val
-        if key in file_vals:
-            raw = file_vals[key]
-            if key in _LIST_KEYS:
-                # schedules split on whitespace only: 'log:3,6' contains a comma
-                if key != "schedule":
-                    raw = raw.replace(",", " ")
-                return tuple(cast(v) for v in raw.split())
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return cast(raw)
-        return default
-
+def _given(args: argparse.Namespace, file_vals: dict) -> dict:
+    """ExperimentConfig fields given by flags or, failing that, the file."""
+    given = {}
     try:
-        merged = dict(
-            alphas=pick("alpha", "alpha", float, None),
-            Ns=pick("N", "N", int, None),
-            K=pick("K", "K", int, None),
-            c_A=pick("cA", "cA", float, 5.0),
-            smoother=pick("smoother", "smoother", str, "gs"),
-            omega=pick("omega", "omega", float, 2.0 / 3.0),
-            nu1=pick("nu1", "nu1", int, 1),
-            nu2=pick("nu2", "nu2", int, 1),
-            schedules=pick("schedule", "schedule", str, ()),
-            startup_exact=pick("startup_exact", "startup-exact", int, 2),
-            ref_N=pick("ref_N", "ref-N", int, 5120),
-            ref_file=pick("ref_file", "ref-file", str, None),
-            K0=pick("K0", "K0", int, 4),
-            seed=pick("seed", "seed", int, 0),
-            paper_scale=pick("paper_scale", "paper-scale", bool, False),
-            fmt=pick("fmt", "format", str, "csv"),
-            out=pick("out", "out", str, None),
-        )
+        for field, (key, cast) in _FIELDS.items():
+            if key not in file_vals:
+                continue
+            raw = file_vals[key]
+            if field in _LIST_FIELDS:
+                # schedules split on whitespace only: 'log:3,6' contains a comma
+                if field != "schedules":
+                    raw = raw.replace(",", " ")
+                given[field] = tuple(cast(v) for v in raw.split())
+            else:
+                given[field] = cast(raw)
     except ValueError as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
-    if merged["K"] is None:
-        merged["K"] = 128 if merged["paper_scale"] else 64
-    elif merged["paper_scale"]:
-        merged["K"] = 128
-    if merged["alphas"] is None:
-        merged["alphas"] = (0.2, 0.5, 0.8)
-    if merged["Ns"] is None:
-        merged["Ns"] = (10, 20, 40, 80, 160, 320)
-    return merged
-
-
-def _make_config(merged: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        alphas=tuple(merged["alphas"]), Ns=tuple(merged["Ns"]), K=merged["K"],
-        c_A=merged["c_A"], smoother=merged["smoother"], omega=merged["omega"],
-        nu1=merged["nu1"], nu2=merged["nu2"],
-        schedules=tuple(merged["schedules"]),
-        startup_exact=merged["startup_exact"], ref_N=merged["ref_N"],
-        ref_file=merged["ref_file"], K0=merged["K0"], seed=merged["seed"])
+    for field in _FIELDS:
+        val = getattr(args, field)
+        if val is not None:
+            given[field] = tuple(val) if field in _LIST_FIELDS else val
+    if args.paper_scale or file_vals.get("paper-scale", "").lower() in ("1", "true", "yes"):
+        given["K"] = PAPER_SCALE_K
+    return given
 
 
 def _write(text: str, out: str | None) -> None:
@@ -174,12 +152,13 @@ def main(argv=None) -> int:
         if args.command == "weights-dump":
             _write(weight_table_csv(args.gamma, args.n_max), args.out)
             return 0
-        merged = _merge(args)
-        cfg = _make_config(merged)
+        file_vals = _read_config_file(args.config) if args.config else {}
+        cfg = ExperimentConfig(**_given(args, file_vals))
         runner = {"example1": run_example1, "example2": run_example2,
                   "contraction": run_contraction_sweep}[args.command]
         table = runner(cfg)
-        _write(emit_table(table, merged["fmt"]), merged["out"])
+        _write(emit_table(table, args.fmt or file_vals.get("format", "csv")),
+               args.out or file_vals.get("out"))
         _print_timings(table)
         return 0
     except ValueError as exc:  # ConfigurationError and plain domain errors

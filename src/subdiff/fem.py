@@ -21,14 +21,15 @@ __all__ = [
     "build_mesh",
     "assemble",
     "load_vector",
-    "load_vector_from_cell_values",
+    "solve_checked",
     "l2_project",
     "ritz_project",
     "l2_norm",
     "weighted_norm",
     "l2_error_vs_function",
-    "write_matrix_coo",
 ]
+
+SOLVE_REL_TOL = 1e-12
 
 # 6-point triangle rule, exact for polynomials of degree <= 4.
 _QUAD_BARY = np.array([
@@ -172,21 +173,7 @@ def load_vector(mesh: Mesh2D, g) -> np.ndarray:
             gv = np.broadcast_to(gv, (len(mesh.triangles),))
         Fe += (w * area * gv)[:, None] * _QUAD_BARY[q][None, :]
     if not np.all(np.isfinite(Fe)):
-        raise ValueError("load function produced non-finite values")
-    return _scatter_to_interior(mesh, Fe)
-
-
-def load_vector_from_cell_values(mesh: Mesh2D, values: np.ndarray) -> np.ndarray:
-    """Load vector for a function that is constant on each triangle.
-
-    Exact: integral of phi_i over a triangle is area/3 for each vertex.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(mesh.triangles),):
-        raise ValueError(
-            f"expected one value per triangle ({len(mesh.triangles)}), got {values.shape}")
-    _, _, _, area = mesh._geometry()
-    Fe = (values * area / 3.0)[:, None] * np.ones((1, 3))
+        raise NumericsError("load function produced non-finite values")
     return _scatter_to_interior(mesh, Fe)
 
 
@@ -198,17 +185,30 @@ def _scatter_to_interior(mesh: Mesh2D, Fe: np.ndarray) -> np.ndarray:
     return F
 
 
-def _solve_spd(A: sp.csr_matrix, rhs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    x = spla.splu(A.tocsc()).solve(rhs)
+def solve_checked(lu, A: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs with ``lu``, a factorization of A, to a residual of
+    at most SOLVE_REL_TOL * |rhs|, taking one refinement step if needed.
+
+    Raises NumericsError for a non-finite right-hand side or a missed
+    tolerance.
+    """
     nrhs = np.linalg.norm(rhs)
-    if nrhs > 0 and np.linalg.norm(rhs - A @ x) > rel_tol * nrhs:
-        raise NumericsError("projection solve missed its residual tolerance")
+    if not np.isfinite(nrhs):
+        raise NumericsError("direct solve got a non-finite right-hand side")
+    if nrhs == 0.0:
+        return np.zeros_like(rhs)
+    x = lu.solve(rhs)
+    # written so that a NaN residual fails the test
+    if not np.linalg.norm(rhs - A @ x) <= SOLVE_REL_TOL * nrhs:
+        x = x + lu.solve(rhs - A @ x)
+        if not np.linalg.norm(rhs - A @ x) <= SOLVE_REL_TOL * nrhs:
+            raise NumericsError("direct solve failed to reach residual tolerance")
     return x
 
 
 def l2_project(sys: FemSystem, g) -> np.ndarray:
     """L2 projection of g onto the interior P1 space: solve M x = F(g)."""
-    return _solve_spd(sys.M, load_vector(sys.mesh, g))
+    return solve_checked(spla.splu(sys.M.tocsc()), sys.M, load_vector(sys.mesh, g))
 
 
 def ritz_project(sys: FemSystem, av=None, grad=None) -> np.ndarray:
@@ -244,9 +244,9 @@ def ritz_project(sys: FemSystem, av=None, grad=None) -> np.ndarray:
                     f"got {gc.shape}")
             Ge = 0.5 * (gc[:, :1] * b + gc[:, 1:] * c)
         if not np.all(np.isfinite(Ge)):
-            raise ValueError("gradient data produced non-finite values")
+            raise NumericsError("gradient data produced non-finite values")
         G = sys.c_A * _scatter_to_interior(mesh, Ge)
-    return _solve_spd(sys.S, G)
+    return solve_checked(spla.splu(sys.S.tocsc()), sys.S, G)
 
 
 def l2_norm(sys: FemSystem, x: np.ndarray) -> float:
@@ -276,13 +276,3 @@ def l2_error_vs_function(sys: FemSystem, x: np.ndarray, u) -> float:
         ue = np.asarray(u(pts[q, :, 0], pts[q, :, 1]), dtype=float)
         acc += w * (uh - ue) ** 2
     return float(np.sqrt(np.sum(acc * area)))
-
-
-def write_matrix_coo(mat: sp.spmatrix, path) -> None:
-    """Dump a sparse matrix as text: 'rows cols nnz' header then 'i j value' lines."""
-    coo = mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericsError
-from .fem import FemSystem, Mesh2D, assemble, build_mesh
+from .fem import FemSystem, Mesh2D, assemble, build_mesh, solve_checked
 
 __all__ = [
     "DampedJacobi",
@@ -29,12 +29,11 @@ __all__ = [
     "ContractionParams",
     "build_hierarchy",
     "prolongation_matrix",
+    "level_sizes",
     "smooth",
     "vcycle",
     "DirectSolver",
-    "direct_solve",
     "estimate_contraction",
-    "estimate_contraction_of",
 ]
 
 
@@ -44,22 +43,24 @@ class DampedJacobi:
 
     omega: float = 2.0 / 3.0
 
+    name = "jacobi"
+
     def __post_init__(self):
         if not 0.0 < self.omega <= 1.0:
             raise ConfigurationError(f"Jacobi damping must lie in (0, 1], got {self.omega}")
 
-    @property
-    def name(self) -> str:
-        return "jacobi"
+    def sweep(self, level, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return x + self.omega * (rhs - level.B @ x) / level.diag
 
 
 @dataclass(frozen=True)
 class GaussSeidelForward:
     """One forward Gauss-Seidel sweep in interior (lexicographic) node order."""
 
-    @property
-    def name(self) -> str:
-        return "gs"
+    name = "gs"
+
+    def sweep(self, level, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return level.lower_solve.solve(rhs - level.upper @ x)
 
 
 Smoother = DampedJacobi | GaussSeidelForward
@@ -83,21 +84,17 @@ class ContractionParams:
 class GridLevel:
     """Operator bundle for one mesh in the hierarchy."""
 
-    def __init__(self, system: FemSystem, tau: float, alpha: float,
-                 needs_gs: bool):
+    def __init__(self, system: FemSystem, tau: float, alpha: float):
         self.system = system
         self.K = system.mesh.K if system.mesh is not None else None
         self.B = system.system_matrix(tau, alpha)
         self.diag = self.B.diagonal()
-        if needs_gs:
-            self.upper = sp.triu(self.B, 1).tocsr()
-            # lower-triangular part factors without fill under the natural
-            # ordering; its solve is an exact forward substitution
-            self.lower_solve = spla.splu(
-                sp.tril(self.B, 0).tocsc(), permc_spec="NATURAL")
-        else:
-            self.upper = None
-            self.lower_solve = None
+        # built here, outside the cycles, for every smoother: the
+        # lower-triangular part factors without fill under the natural
+        # ordering, and its solve is an exact forward substitution
+        self.upper = sp.triu(self.B, 1).tocsr()
+        self.lower_solve = spla.splu(
+            sp.tril(self.B, 0).tocsc(), permc_spec="NATURAL")
 
 
 def prolongation_matrix(coarse: Mesh2D, fine: Mesh2D) -> sp.csr_matrix:
@@ -177,6 +174,16 @@ class MgHierarchy:
         return float(np.sqrt(max(x @ (B @ x), 0.0)))
 
 
+def level_sizes(K: int, K0: int) -> list:
+    """Mesh sizes K0, 2*K0, ..., K of a hierarchy; raises unless K = K0 * 2^L."""
+    Ks = [K]
+    while Ks[-1] > K0 and Ks[-1] % 2 == 0:
+        Ks.append(Ks[-1] // 2)
+    if Ks[-1] != K0:
+        raise ConfigurationError(f"K={K} is not K0*2^L for coarsest K0={K0}")
+    return Ks[::-1]
+
+
 def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
                     smoother: Smoother = GaussSeidelForward(),
                     nu1: int = 1, nu2: int = 1, K0: int = 4) -> MgHierarchy:
@@ -190,22 +197,13 @@ def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
         raise ConfigurationError(f"need nu1, nu2 >= 0 with nu1+nu2 >= 1, got {nu1}, {nu2}")
     if not (isinstance(K0, (int, np.integer)) and K0 >= 2 and K0 % 2 == 0):
         raise ConfigurationError(f"coarsest K0 must be an even integer >= 2, got {K0}")
-    Ks = [fine.mesh.K]
-    while Ks[-1] > K0:
-        if Ks[-1] % 2:
-            break
-        Ks.append(Ks[-1] // 2)
-    if Ks[-1] != K0 or len(Ks) < 2:
-        raise ConfigurationError(
-            f"fine K={fine.mesh.K} is not K0*2^L for K0={K0} with L >= 1")
-    Ks.reverse()
+    Ks = level_sizes(fine.mesh.K, K0)
+    if len(Ks) < 2:
+        raise ConfigurationError(f"fine K={fine.mesh.K} equals K0; need L >= 1")
 
-    needs_gs = isinstance(smoother, GaussSeidelForward)
-    levels = []
-    for K in Ks[:-1]:
-        system = assemble(build_mesh(K), fine.c_A)
-        levels.append(GridLevel(system, tau, alpha, needs_gs))
-    levels.append(GridLevel(fine, tau, alpha, needs_gs))
+    levels = [GridLevel(assemble(build_mesh(K), fine.c_A), tau, alpha)
+              for K in Ks[:-1]]
+    levels.append(GridLevel(fine, tau, alpha))
 
     prolongations = [
         prolongation_matrix(levels[i].system.mesh, levels[i + 1].system.mesh)
@@ -228,17 +226,9 @@ def smooth(level: GridLevel, x: np.ndarray, rhs: np.ndarray,
            kind: Smoother, sweeps: int = 1) -> np.ndarray:
     """Apply ``sweeps`` smoothing sweeps; returns a new vector."""
     x = np.asarray(x, dtype=float)
-    if isinstance(kind, DampedJacobi):
-        for _ in range(sweeps):
-            x = x + kind.omega * (rhs - level.B @ x) / level.diag
-        return x
-    if isinstance(kind, GaussSeidelForward):
-        if level.lower_solve is None:
-            raise ConfigurationError("level was built without Gauss-Seidel support")
-        for _ in range(sweeps):
-            x = level.lower_solve.solve(rhs - level.upper @ x)
-        return x
-    raise ConfigurationError(f"unknown smoother {kind!r}")
+    for _ in range(sweeps):
+        x = kind.sweep(level, x, rhs)
+    return x
 
 
 def vcycle(h: MgHierarchy, x0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -267,30 +257,12 @@ def _cycle(h: MgHierarchy, lvl: int, x: np.ndarray, rhs: np.ndarray) -> np.ndarr
 class DirectSolver:
     """Sparse factorization of an SPD matrix with a residual guarantee."""
 
-    REL_TOL = 1e-12
-
     def __init__(self, B: sp.spmatrix):
         self.B = B.tocsr()
         self._lu = spla.splu(B.tocsc())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        nrhs = np.linalg.norm(rhs)
-        if not np.isfinite(nrhs):
-            raise NumericsError("direct solve got a non-finite right-hand side")
-        if nrhs == 0.0:
-            return np.zeros_like(rhs)
-        x = self._lu.solve(rhs)
-        # written so that a NaN residual fails the test
-        if not np.linalg.norm(rhs - self.B @ x) <= self.REL_TOL * nrhs:
-            x = x + self._lu.solve(rhs - self.B @ x)  # one refinement step
-            if not np.linalg.norm(rhs - self.B @ x) <= self.REL_TOL * nrhs:
-                raise NumericsError("direct solve failed to reach residual tolerance")
-        return x
-
-
-def direct_solve(B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """One-shot exact solve; factor via :class:`DirectSolver` for repeated use."""
-    return DirectSolver(B).solve(rhs)
+        return solve_checked(self._lu, self.B, rhs)
 
 
 def estimate_contraction(h: MgHierarchy, trials: int = 5, cycles: int = 8,
@@ -301,27 +273,20 @@ def estimate_contraction(h: MgHierarchy, trials: int = 5, cycles: int = 8,
     ratio after the first cycle, c0 the largest observed r_m / kappa^m
     (clamped to >= 1).  Raises if the iteration fails to contract.
     """
-    dim = h.fine.B.shape[0]
-    return estimate_contraction_of(
-        lambda x: vcycle(h, x, np.zeros(dim)), h.weighted_norm, dim,
-        trials=trials, cycles=cycles, seed=seed)
-
-
-def estimate_contraction_of(step, norm, dim: int, trials: int = 5,
-                            cycles: int = 8, seed: int = 0) -> ContractionParams:
-    """Contraction estimate for an arbitrary iteration x -> step(x) toward 0."""
     if trials < 1 or cycles < 2:
         raise ConfigurationError(f"need trials >= 1 and cycles >= 2, got {trials}, {cycles}")
+    dim = h.fine.B.shape[0]
+    zero = np.zeros(dim)
     rng = np.random.default_rng(seed)
     kappa = 0.0
     histories = []
     for _ in range(trials):
         x = rng.standard_normal(dim)
-        n0 = norm(x)
+        n0 = h.weighted_norm(x)
         norms = [n0]
-        for m in range(1, cycles + 1):
-            x = step(x)
-            norms.append(norm(x))
+        for _ in range(cycles):
+            x = vcycle(h, x, zero)
+            norms.append(h.weighted_norm(x))
         histories.append(norms)
         floor = 1e-12 * n0
         for m in range(2, cycles + 1):

@@ -16,7 +16,7 @@ block of 128 steps reads the stored trajectory, instead of one GEMV per step.
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "SeparableSource",
     "LoadSource",
     "ProblemSpec",
+    "Schedule",
     "ExactSchedule",
     "FixedIterations",
     "LogSchedule",
@@ -95,17 +96,18 @@ class PointwiseSource:
 
 
 class SeparableSource:
-    """Source time_fn(t) * space_fn(x, y); the spatial load is assembled once."""
+    """Source time_fn(t) * space_fn(x, y); the spatial load is assembled once
+    per mesh."""
 
     def __init__(self, time_fn, space_fn):
         self.time_fn = time_fn
         self.space_fn = space_fn
-        self._space_load = None
+        self._cache = None  # (mesh, spatial load on it)
 
     def load_at(self, sys: FemSystem, t: float) -> np.ndarray:
-        if self._space_load is None:
-            self._space_load = load_vector(sys.mesh, self.space_fn)
-        return self.time_fn(t) * self._space_load
+        if self._cache is None or self._cache[0] is not sys.mesh:
+            self._cache = (sys.mesh, load_vector(sys.mesh, self.space_fn))
+        return self.time_fn(t) * self._cache[1]
 
 
 @dataclass(frozen=True)
@@ -138,36 +140,51 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 # iteration schedules
 
-def _check_startup(k):
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ConfigurationError(f"exact_startup_steps must be an integer >= 1, got {k}")
-
-
-@dataclass(frozen=True)
-class ExactSchedule:
-    """Every step solved by the direct solver (the M_n = infinity rows)."""
+@dataclass(frozen=True, kw_only=True)
+class Schedule:
+    """Base of the iteration schedules: steps 1..exact_startup_steps are
+    solved by the direct solver, later ones by ``iters`` V-cycles."""
 
     exact_startup_steps: int = 2
 
     def __post_init__(self):
-        _check_startup(self.exact_startup_steps)
+        k = self.exact_startup_steps
+        if not (isinstance(k, (int, np.integer)) and k >= 1):
+            raise ConfigurationError(f"exact_startup_steps must be an integer >= 1, got {k}")
+
+    def exact(self, n: int) -> bool:
+        """Whether step n is solved by the direct solver."""
+        return n <= self.exact_startup_steps
 
 
 @dataclass(frozen=True)
-class FixedIterations:
+class ExactSchedule(Schedule):
+    """Every step solved by the direct solver (the M_n = infinity rows)."""
+
+    def exact(self, n: int) -> bool:
+        return True
+
+    def iters(self, t_n: float, tau: float, alpha: float) -> int:
+        raise ConfigurationError("the exact schedule has no finite iteration count")
+
+
+@dataclass(frozen=True)
+class FixedIterations(Schedule):
     """The same number of V-cycles at every step."""
 
     m: int
-    exact_startup_steps: int = 2
 
     def __post_init__(self):
-        _check_startup(self.exact_startup_steps)
+        super().__post_init__()
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise ConfigurationError(f"iteration count must be >= 1, got {self.m}")
 
+    def iters(self, t_n: float, tau: float, alpha: float) -> int:
+        return self.m
+
 
 @dataclass(frozen=True)
-class LogSchedule:
+class LogSchedule(Schedule):
     """M_n = a + b * log2(1/t_n), rounded up, at least 1.
 
     More iterations at early times; the log factor is inert once t_n >= 1.
@@ -175,86 +192,76 @@ class LogSchedule:
 
     a: int
     b: int
-    exact_startup_steps: int = 2
 
     def __post_init__(self):
-        _check_startup(self.exact_startup_steps)
+        super().__post_init__()
         ok = all(isinstance(v, (int, np.integer)) and v >= 0 for v in (self.a, self.b))
         if not ok or self.a + self.b < 1:
             raise ConfigurationError(
                 f"need integers a, b >= 0 with a+b >= 1, got a={self.a}, b={self.b}")
 
-
-def _check_theory(delta, params):
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
-    if not isinstance(params, ContractionParams):
-        raise ConfigurationError("theory schedules need measured ContractionParams")
+    def iters(self, t_n: float, tau: float, alpha: float) -> int:
+        return max(1, self.a + math.ceil(self.b * math.log2(max(1.0, 1.0 / t_n))))
 
 
 @dataclass(frozen=True)
-class TheorySmoothData:
-    """Smallest M_n with c0 kappa^M_n <= delta * min(t_n^(alpha/2), 1) / ln(1 + t_n/tau).
-
-    The demand matching the error bound for energy-projected smooth initial
-    data; iteration counts decrease as t_n grows.
-    """
+class _TheorySchedule(Schedule):
+    """Smallest M_n with c0 kappa^M_n <= target(t_n, ell_n, alpha), where
+    ell_n = ln(1 + t_n/tau) and (c0, kappa) are measured."""
 
     delta: float
     params: ContractionParams
-    exact_startup_steps: int = 2
 
     def __post_init__(self):
-        _check_startup(self.exact_startup_steps)
-        _check_theory(self.delta, self.params)
+        super().__post_init__()
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
+        if not isinstance(self.params, ContractionParams):
+            raise ConfigurationError("theory schedules need measured ContractionParams")
+
+    def iters(self, t_n: float, tau: float, alpha: float) -> int:
+        target = self.target(t_n, math.log(1.0 + t_n / tau), alpha)
+        c0, kappa = self.params.c0, self.params.kappa
+        return max(1, math.ceil(math.log(target / c0) / math.log(kappa)))
+
+
+@dataclass(frozen=True)
+class TheorySmoothData(_TheorySchedule):
+    """Smallest M_n with c0 kappa^M_n <= delta * min(t_n^(alpha/2), 1) / ln(1 + t_n/tau).
+
+    The demand matching the error bound for energy-projected smooth initial
+    data.  It is weaker than the nonsmooth demand at early times, but the
+    counts need not fall as t_n grows: at small alpha, ln(1 + t_n/tau) grows
+    faster than t_n^(alpha/2).
+    """
 
     def target(self, t_n: float, ell_n: float, alpha: float) -> float:
         return self.delta * min(t_n ** (alpha / 2.0), 1.0) / ell_n
 
 
 @dataclass(frozen=True)
-class TheoryNonsmoothData:
+class TheoryNonsmoothData(_TheorySchedule):
     """Smallest M_n with c0 kappa^M_n <= delta * min(t_n, 1) / ln(1 + t_n/tau).
 
     The stronger early-time demand for L2-projected (rough) initial data.
     """
 
-    delta: float
-    params: ContractionParams
-    exact_startup_steps: int = 2
-
-    def __post_init__(self):
-        _check_startup(self.exact_startup_steps)
-        _check_theory(self.delta, self.params)
-
     def target(self, t_n: float, ell_n: float, alpha: float) -> float:
         return self.delta * min(t_n, 1.0) / ell_n
 
 
-def schedule_iters(schedule, n: int, t_n: float, tau: float, alpha: float) -> int:
-    """Inner iteration count M_n demanded by ``schedule`` at step n."""
-    if isinstance(schedule, ExactSchedule):
-        raise ConfigurationError("the exact schedule has no finite iteration count")
-    if isinstance(schedule, FixedIterations):
-        return schedule.m
-    if isinstance(schedule, LogSchedule):
-        m = schedule.a + math.ceil(schedule.b * math.log2(max(1.0, 1.0 / t_n)))
-        return min(max(1, m), MAX_INNER_ITERATIONS)
-    if isinstance(schedule, (TheorySmoothData, TheoryNonsmoothData)):
-        c0, kappa = schedule.params.c0, schedule.params.kappa
-        ell_n = math.log(1.0 + t_n / tau)
-        target = schedule.target(t_n, ell_n, alpha)
-        if c0 <= target:
-            return 1
-        # smallest M with c0 kappa^M <= target
-        m = math.ceil(math.log(target / c0) / math.log(kappa))
-        m = max(1, m)
-        if m > MAX_INNER_ITERATIONS:
-            log.warning("schedule demanded %d iterations at step %d; clamped to %d",
-                        m, n, MAX_INNER_ITERATIONS)
-            m = MAX_INNER_ITERATIONS
-        return m
-    raise ConfigurationError(f"unknown schedule {schedule!r}")
+def schedule_iters(schedule: Schedule, n: int, t_n: float, tau: float,
+                   alpha: float) -> int:
+    """Inner iteration count M_n demanded by ``schedule`` at step n, clamped
+    to MAX_INNER_ITERATIONS with a warning."""
+    m = schedule.iters(t_n, tau, alpha)
+    if m < 1:
+        raise ConfigurationError(f"schedule produced no iterations at step {n}")
+    if m > MAX_INNER_ITERATIONS:
+        log.warning("schedule demanded %d iterations at step %d; clamped to %d",
+                    m, n, MAX_INNER_ITERATIONS)
+        m = MAX_INNER_ITERATIONS
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +330,18 @@ def _step_rhs(M, weights: WeightTable, U0: np.ndarray, hist: np.ndarray, n: int,
 
 def run_exact(spec: ProblemSpec) -> Trajectory:
     """Time stepping with every step solved by the direct solver."""
-    return _run(spec, ExactSchedule(), None)
+    return run_iis(spec, ExactSchedule(), None)
 
 
-def run_iis(spec: ProblemSpec, schedule, hierarchy: MgHierarchy | None,
-            record_corrections: bool = False) -> Trajectory:
+def run_iis(spec: ProblemSpec, schedule: Schedule,
+            hierarchy: MgHierarchy | None) -> Trajectory:
     """Time stepping with scheduled inexact inner solves.
 
     Steps up to ``schedule.exact_startup_steps`` use the direct solver; later
     steps start from the extrapolated guess and apply M_n V-cycles.  The
     hierarchy must have been built for the same system and step size.
     """
-    if not isinstance(schedule, ExactSchedule):
+    if not schedule.exact(spec.grid.N):
         if hierarchy is None:
             raise ConfigurationError("iterative schedules need a multigrid hierarchy")
         if (hierarchy.fine.K != spec.sys.mesh.K
@@ -344,17 +351,11 @@ def run_iis(spec: ProblemSpec, schedule, hierarchy: MgHierarchy | None,
                 and hierarchy.alpha == spec.alpha):
             raise ConfigurationError(
                 "hierarchy was built for different tau or alpha than the problem")
-    return _run(spec, schedule, hierarchy, record_corrections)
-
-
-def _run(spec: ProblemSpec, schedule, hierarchy, record_corrections=False) -> Trajectory:
     grid = spec.grid
     N, tau = grid.N, grid.tau
     taua = tau ** spec.alpha
     sys = spec.sys
     weights = gen_weights(spec.alpha, N)
-    exact_all = isinstance(schedule, ExactSchedule)
-    startup = schedule.exact_startup_steps
 
     B = sys.system_matrix(tau, spec.alpha)
     direct = DirectSolver(B)
@@ -368,15 +369,12 @@ def _run(spec: ProblemSpec, schedule, hierarchy, record_corrections=False) -> Tr
         t_n = n * tau
         load = spec.source.load_at(sys, t_n) if spec.source is not None else None
         r = _step_rhs(sys.M, weights, U[0], next(histories), n, taua, load)
-        if exact_all or n <= startup:
+        if schedule.exact(n):
             U[n] = direct.solve(r)
             records.append(StepRecord(n, t_n, True, None, 0.0,
                                       time.perf_counter() - t0))
             continue
         m_n = schedule_iters(schedule, n, t_n, tau, spec.alpha)
-        if m_n < 1:
-            raise ConfigurationError(
-                f"schedule produced no iterations at step {n} after startup")
         x = 2.0 * U[n - 1] - U[n - 2]
         corrections = []
         for m in range(m_n):
@@ -393,7 +391,7 @@ def _run(spec: ProblemSpec, schedule, hierarchy, record_corrections=False) -> Tr
         U[n] = x
         records.append(StepRecord(
             n, t_n, False, m_n, corrections[-1], time.perf_counter() - t0,
-            tuple(corrections) if record_corrections else ()))
+            tuple(corrections)))
     return Trajectory(grid=grid, U=U, records=tuple(records))
 
 

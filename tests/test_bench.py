@@ -34,6 +34,7 @@ def test_config_validation():
         ExperimentConfig(smoother="sor")
     with pytest.raises(ConfigurationError):
         ExperimentConfig(alphas=(1.2,))
+    assert ExperimentConfig(K=4, K0=4).K == 4  # one level suffices for a config
 
 
 def test_parse_schedule_forms():
@@ -220,7 +221,7 @@ def test_cli_example1_tiny(tmp_path):
     assert len(lines) == 4
 
 
-def test_cli_config_file_with_flag_override(tmp_path):
+def test_cli_config_file_with_flag_override(tmp_path, monkeypatch):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("alpha=0.5\nN=5,10\nK=8\nref-N=160\n"
                    "schedule=log:1,0 exact\nformat=md\n# comment line\n")
@@ -236,6 +237,18 @@ def test_cli_config_file_with_flag_override(tmp_path):
                    "--out", str(out2)])
     assert rc == 0
     assert out2.read_text().splitlines()[1] == "alpha,row_label,N,eN,rate"
+    # a flag overrides a config-file value; the rest keep the file's values
+    seen = {}
+
+    def capture(cfg):
+        seen["cfg"] = cfg
+        return ErrorTable(Ns=cfg.Ns, meta="#")
+
+    monkeypatch.setattr(cli, "run_example2", capture)
+    assert cli.main(["example2", "--config", str(cfg), "--K", "16",
+                     "--out", str(out2)]) == 0
+    assert seen["cfg"] == ExperimentConfig(
+        alphas=(0.5,), Ns=(5, 10), K=16, ref_N=160, schedules=("log:1,0", "exact"))
 
 
 def test_cli_configuration_error_exit_code():
@@ -264,12 +277,17 @@ def test_cli_paper_scale_flag(monkeypatch):
     seen = {}
 
     def capture(cfg):
-        seen["K"] = cfg.K
+        seen["cfg"] = cfg
         return ErrorTable(Ns=cfg.Ns, meta="#")
 
     monkeypatch.setattr(cli, "run_example1", capture)
     assert cli.main(["example1", "--paper-scale", "--N", "5", "--ref-N", "80"]) == 0
-    assert seen["K"] == 128
+    assert seen["cfg"].K == 128
+    # with no flags, every setting is ExperimentConfig's own default
+    assert cli.main(["example1"]) == 0
+    assert seen["cfg"] == ExperimentConfig()
+    assert cli.main(["example1", "--paper-scale"]) == 0
+    assert seen["cfg"] == ExperimentConfig(K=128)
 
 
 def test_cli_subprocess_entry(tmp_path):

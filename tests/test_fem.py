@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from subdiff.errors import ConfigurationError
+from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import (assemble, build_mesh, l2_error_vs_function, l2_norm,
-                         l2_project, load_vector, load_vector_from_cell_values,
-                         ritz_project, weighted_norm, write_matrix_coo,
+                         l2_project, load_vector, ritz_project, weighted_norm,
                          _QUAD_BARY, _QUAD_W)
 
 
@@ -32,6 +31,19 @@ def hat_function(mesh, ix, iy):
 
 def triangle_centroids(mesh):
     return mesh.coords[mesh.triangles].mean(axis=1)
+
+
+def load_vector_from_cell_values(mesh, values):
+    """Exact load vector of a function constant on each triangle: the
+    integral of phi_i over a triangle is area/3 at each of its vertices."""
+    _, _, _, area = mesh._geometry()
+    share = np.asarray(values, dtype=float) * area / 3.0
+    F = np.zeros(mesh.n_interior)
+    idx = mesh.interior_of_full[mesh.triangles]
+    for k in range(3):
+        keep = idx[:, k] >= 0
+        np.add.at(F, idx[keep, k], share[keep])
+    return F
 
 
 # ---------------------------------------------------------------- mesh
@@ -141,7 +153,7 @@ def test_load_piecewise_constant_matches_cell_oracle():
 
 def test_load_rejects_non_finite():
     mesh = build_mesh(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericsError):
         load_vector(mesh, lambda x, y: np.where(x > 0, np.inf, 1.0))
 
 
@@ -273,18 +285,3 @@ def test_steady_solve_second_order_in_h():
         errors.append(l2_error_vs_function(sys, u, exact))
     for e0, e1 in zip(errors, errors[1:]):
         assert 3.6 <= e0 / e1 <= 4.4
-
-
-# ---------------------------------------------------------------- export
-
-
-def test_write_matrix_coo_roundtrip(tmp_path):
-    sys = assemble(build_mesh(4), 1.0)
-    path = tmp_path / "mass.txt"
-    write_matrix_coo(sys.M, path)
-    lines = path.read_text().splitlines()
-    rows, cols, nnz = map(int, lines[0].split())
-    assert (rows, cols) == (sys.dim, sys.dim)
-    assert nnz == sys.M.nnz == len(lines) - 1
-    i, j, v = lines[1].split()
-    assert sys.M[int(i), int(j)] == pytest.approx(float(v), rel=1e-15)

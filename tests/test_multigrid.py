@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import subdiff.multigrid as multigrid
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import FemSystem, assemble, build_mesh
 from subdiff.multigrid import (DampedJacobi, DirectSolver, GaussSeidelForward,
-                               GridLevel, build_hierarchy, direct_solve,
-                               estimate_contraction, estimate_contraction_of,
+                               GridLevel, build_hierarchy, estimate_contraction,
                                prolongation_matrix, smooth, vcycle)
 from test_fem import hat_function
 
@@ -154,7 +154,7 @@ def test_smoothers_fix_exact_solution(hier32_gs, hier32_jac):
 def test_jacobi_on_diagonal_system_contracts_by_one_third():
     D = sp.diags([2.0, 3.0, 4.0]).tocsr()
     level = GridLevel(surrogate_system(D, sp.csr_matrix((3, 3))), tau=1.0,
-                      alpha=0.5, needs_gs=False)
+                      alpha=0.5)
     x_star = np.array([1.0, -2.0, 0.5])
     rhs = D @ x_star
     x = np.zeros(3)
@@ -169,19 +169,11 @@ def test_jacobi_on_diagonal_system_contracts_by_one_third():
 def test_gauss_seidel_matches_hand_sweep():
     B = np.array([[2.0, 1.0], [1.0, 3.0]])
     level = GridLevel(surrogate_system(B, np.zeros((2, 2))), tau=1.0,
-                      alpha=0.5, needs_gs=True)
+                      alpha=0.5)
     out = smooth(level, np.zeros(2), np.array([1.0, 2.0]),
                  GaussSeidelForward(), sweeps=1)
     # forward substitution: x0 = 1/2; x1 = (2 - 1*0.5)/3 = 0.5
     np.testing.assert_allclose(out, [0.5, 0.5], rtol=1e-15)
-
-
-def test_gs_requires_level_support():
-    D = sp.diags([1.0, 2.0]).tocsr()
-    level = GridLevel(surrogate_system(D, sp.csr_matrix((2, 2))), tau=1.0,
-                      alpha=0.5, needs_gs=False)
-    with pytest.raises(ConfigurationError):
-        smooth(level, np.zeros(2), np.zeros(2), GaussSeidelForward())
 
 
 # ----------------------------------------------------------- direct solver
@@ -190,7 +182,7 @@ def test_gs_requires_level_support():
 def test_direct_solve_zero_rhs():
     sys = assemble(build_mesh(8), 1.0)
     B = sys.system_matrix(0.1, 0.5)
-    assert np.all(direct_solve(B, np.zeros(sys.dim)) == 0.0)
+    assert np.all(DirectSolver(B).solve(np.zeros(sys.dim)) == 0.0)
 
 
 def gaussian_elimination(A, b):
@@ -217,7 +209,7 @@ def test_direct_solve_matches_elimination_oracle():
     R = rng.standard_normal((5, 5))
     A = R @ R.T + 5.0 * np.eye(5)
     b = rng.standard_normal(5)
-    x = direct_solve(sp.csr_matrix(A), b)
+    x = DirectSolver(sp.csr_matrix(A)).solve(b)
     np.testing.assert_allclose(x, gaussian_elimination(A, b), rtol=1e-12)
 
 
@@ -234,19 +226,17 @@ def test_direct_solver_residual_K64():
 # ----------------------------------------------------------- contraction
 
 
-def test_contraction_estimate_exact_solver_floor(sys32):
-    B = sys32.system_matrix(0.025, 0.5)
+def test_contraction_estimate_exact_solver_floor(sys32, monkeypatch):
+    h = build_hierarchy(sys32, tau=0.025, alpha=0.5)
+    B = h.fine.B
     solver = DirectSolver(B)
 
-    def exact_step(x):
+    def exact_step(hierarchy, x, rhs):
         # one "iteration" of a direct solve of Bx = 0 lands on zero
         return x - solver.solve(B @ x)
 
-    def norm(x):
-        return float(np.sqrt(max(x @ (B @ x), 0.0)))
-
-    params = estimate_contraction_of(exact_step, norm, sys32.dim,
-                                     trials=2, cycles=3, seed=0)
+    monkeypatch.setattr(multigrid, "vcycle", exact_step)
+    params = estimate_contraction(h, trials=2, cycles=3, seed=0)
     assert params.kappa == pytest.approx(1e-12)
     assert params.c0 == 1.0
 
@@ -258,10 +248,10 @@ def test_gs_contracts_faster_than_jacobi(hier32_gs, hier32_jac):
     assert gs.c0 >= 1.0 and jac.c0 >= 1.0
 
 
-def test_non_contracting_iteration_raises():
+def test_non_contracting_iteration_raises(hier32_gs, monkeypatch):
+    monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: 1.1 * x)
     with pytest.raises(NumericsError):
-        estimate_contraction_of(lambda x: 1.1 * x, np.linalg.norm, 10,
-                                trials=1, cycles=3, seed=0)
+        estimate_contraction(hier32_gs, trials=1, cycles=3, seed=0)
 
 
 def test_estimate_validation(hier32_gs):

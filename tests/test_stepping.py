@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subdiff.stepping as stepping
 from subdiff.bench import example_problem
@@ -155,12 +157,41 @@ def test_schedule_iters_theory_monotone_nonincreasing():
 
 def test_schedule_iters_clamped_at_limit(caplog):
     params = ContractionParams(c0=1.0, kappa=0.95)
-    sched = TheoryNonsmoothData(delta=0.01, params=params)
     tau = 1e-6
-    with caplog.at_level("WARNING", logger="subdiff.stepping"):
-        m = schedule_iters(sched, 3, 3 * tau, tau, 0.5)
-    assert m == stepping.MAX_INNER_ITERATIONS
-    assert any("clamped" in rec.message for rec in caplog.records)
+    for sched in (LogSchedule(a=1, b=1000),
+                  TheoryNonsmoothData(delta=0.01, params=params)):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="subdiff.stepping"):
+            m = schedule_iters(sched, 3, 3 * tau, tau, 0.5)
+        assert m == stepping.MAX_INNER_ITERATIONS == 200
+        assert any("clamped" in rec.message for rec in caplog.records)
+
+
+_params = st.builds(ContractionParams, c0=st.floats(1.0, 50.0),
+                    kappa=st.floats(0.01, 0.99))
+_schedules = st.one_of(
+    st.builds(FixedIterations, m=st.integers(1, 400)),
+    st.builds(LogSchedule, a=st.integers(1, 50), b=st.integers(0, 400)),
+    st.builds(TheorySmoothData, delta=st.floats(0.01, 0.99), params=_params),
+    st.builds(TheoryNonsmoothData, delta=st.floats(0.01, 0.99), params=_params),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sched=_schedules, N=st.integers(3, 2000), alpha=st.floats(0.05, 0.95),
+       T=st.floats(0.01, 100.0))
+def test_schedule_iters_bounded_and_nonincreasing_in_time(sched, N, alpha, T):
+    tau = T / N
+    counts = [schedule_iters(sched, n, n * tau, tau, alpha)
+              for n in range(3, N + 1, max(1, N // 64))]
+    assert all(1 <= m <= stepping.MAX_INNER_ITERATIONS for m in counts)
+    # a theory target falls, and its count rises, wherever ln(1 + t_n/tau)
+    # grows faster than its numerator: past t_n = 1 for both, and for the
+    # smooth one's t_n^(alpha/2) at any t_n when alpha is small
+    if isinstance(sched, TheorySmoothData) or (
+            isinstance(sched, TheoryNonsmoothData) and T > 1.0):
+        return
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 def test_schedule_iters_rejects_exact():
@@ -268,7 +299,7 @@ def test_inner_corrections_contract_at_measured_rate():
     spec = example_problem(2, sys, 0.5, 12)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
     kappa_hat = estimate_contraction(h, seed=0).kappa
-    traj = run_iis(spec, FixedIterations(m=5), h, record_corrections=True)
+    traj = run_iis(spec, FixedIterations(m=5), h)
     for rec in traj.records:
         if rec.exact:
             continue
@@ -336,14 +367,23 @@ def test_non_finite_source_fails_loudly(kind, runner):
     sys = assemble(build_mesh(8), 5.0)
     spec = ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=16), sys=sys,
                        source=_nan_source(kind, sys))
-    # the mesh quadrature rejects a non-finite pointwise source before any solve
-    error = ValueError if kind == "pointwise" else NumericsError
-    with pytest.raises(error, match="non-finite"):
+    with pytest.raises(NumericsError, match="non-finite"):
         if runner == "exact":
             run_exact(spec)
         else:
             h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
             run_iis(spec, FixedIterations(m=2), h)
+
+
+def test_separable_source_reused_on_another_mesh():
+    source = SeparableSource(lambda t: t * t, _bump)
+    for K in (8, 16):
+        sys = assemble(build_mesh(K), 5.0)
+        grid = TimeGrid(T=1.0, N=6)
+        reused = run_exact(ProblemSpec(alpha=0.5, grid=grid, sys=sys, source=source))
+        fresh = run_exact(ProblemSpec(alpha=0.5, grid=grid, sys=sys,
+                                      source=SeparableSource(lambda t: t * t, _bump)))
+        assert np.array_equal(reused.U, fresh.U)
 
 
 @pytest.mark.parametrize("example", [1, 2])
