@@ -9,16 +9,15 @@ solved either exactly or by a scheduled number of multigrid V-cycles.
 from .cq import TimeGrid, WeightTable, frac_apply, gen_weights, rl_integral_oracle
 from .errors import ConfigurationError, NumericsError
 from .fem import (FemSystem, Mesh2D, assemble, build_mesh, l2_norm, l2_project,
-                  load_vector, ritz_project, weighted_norm)
+                  load_vector, ritz_project)
 from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
                         MgHierarchy, build_hierarchy, estimate_contraction,
                         smooth, vcycle)
 from .stepping import (ErrorReport, ExactSchedule, FixedIterations,
                        L2Projected, LoadSource, LogSchedule, PointwiseSource,
-                       ProblemSpec, RitzProjected, SeparableSource,
-                       TheoryNonsmoothData, TheorySmoothData, Trajectory,
-                       ZeroInit, error_report, run_exact, run_iis,
-                       schedule_iters, step_rhs)
+                       ProblemSpec, SeparableSource, TheoryNonsmoothData,
+                       TheorySmoothData, Trajectory, ZeroInit, error_report,
+                       run_exact, run_iis, schedule_iters)
 
 __version__ = "0.1.0"
 
@@ -26,13 +25,13 @@ __all__ = [
     "TimeGrid", "WeightTable", "gen_weights", "frac_apply", "rl_integral_oracle",
     "ConfigurationError", "NumericsError",
     "Mesh2D", "FemSystem", "build_mesh", "assemble", "load_vector",
-    "l2_project", "ritz_project", "l2_norm", "weighted_norm",
+    "l2_project", "ritz_project", "l2_norm",
     "DampedJacobi", "GaussSeidelForward", "MgHierarchy", "ContractionParams",
     "build_hierarchy", "vcycle", "smooth", "estimate_contraction",
-    "ProblemSpec", "ZeroInit", "L2Projected", "RitzProjected",
+    "ProblemSpec", "ZeroInit", "L2Projected",
     "PointwiseSource", "SeparableSource", "LoadSource",
     "ExactSchedule", "FixedIterations", "LogSchedule",
     "TheorySmoothData", "TheoryNonsmoothData",
-    "Trajectory", "ErrorReport", "schedule_iters", "step_rhs",
+    "Trajectory", "ErrorReport", "schedule_iters",
     "run_exact", "run_iis", "error_report",
 ]

@@ -23,7 +23,8 @@ from .cq import TimeGrid, gen_weights
 from .errors import ConfigurationError
 from .fem import assemble, build_mesh
 from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
-                        build_hierarchy, estimate_contraction, level_sizes)
+                        build_hierarchy, check_cycle, estimate_contraction,
+                        level_sizes)
 from .stepping import (ExactSchedule, FixedIterations, L2Projected,
                        LogSchedule, ProblemSpec, SeparableSource,
                        TheoryNonsmoothData, TheorySmoothData, ZeroInit,
@@ -80,6 +81,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"N list must be strictly increasing, got {self.Ns}")
         if self.smoother not in ("gs", "jacobi"):
             raise ConfigurationError(f"smoother must be 'gs' or 'jacobi', got {self.smoother}")
+        check_cycle(self.nu1, self.nu2, self.K0)
         level_sizes(self.K, self.K0)
         if self.ref_file is None and self.ref_N < 16 * max(self.Ns):
             raise ConfigurationError(
@@ -330,18 +332,13 @@ def run_contraction_sweep(cfg: ExperimentConfig) -> ContractionReport:
     return report
 
 
-def emit_table(table, fmt: str = "csv", path=None) -> str:
-    """Render a table as CSV or Markdown; write it when a path is given."""
+def emit_table(table, fmt: str = "csv") -> str:
+    """Render a table as CSV or Markdown text."""
     if fmt == "csv":
-        text = table.to_csv()
-    elif fmt == "md":
-        text = table.to_markdown()
-    else:
-        raise ConfigurationError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+        return table.to_csv()
+    if fmt == "md":
+        return table.to_markdown()
+    raise ConfigurationError(f"unknown format {fmt!r}")
 
 
 def weight_table_csv(gamma: float, n_max: int) -> str:

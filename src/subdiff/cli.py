@@ -4,7 +4,7 @@ Subcommands: example1, example2, contraction, weights-dump.  Options may also
 come from a ``--config`` file of key=value lines (one per line, ``#`` starts
 a comment).  List values: ``alpha`` and ``N`` entries are separated by commas
 or spaces; ``schedule`` entries by spaces (specs like log:3,6 contain
-commas).  Explicit flags win over the file.
+commas).  Explicit flags win over the file; an unknown key is an error.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/divergence failure.
 """
@@ -27,6 +27,7 @@ _FIELDS = {
     "seed": ("seed", int),
 }
 _LIST_FIELDS = {"alphas", "Ns", "schedules"}
+_FILE_KEYS = {key for key, _ in _FIELDS.values()} | {"format", "out", "paper-scale"}
 PAPER_SCALE_K = 128
 
 
@@ -101,6 +102,9 @@ def _read_config_file(path: str) -> dict:
 
 def _given(args: argparse.Namespace, file_vals: dict) -> dict:
     """ExperimentConfig fields given by flags or, failing that, the file."""
+    unknown = sorted(set(file_vals) - _FILE_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown config key(s): {', '.join(unknown)}")
     given = {}
     try:
         for field, (key, cast) in _FIELDS.items():

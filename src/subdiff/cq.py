@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
@@ -24,7 +23,6 @@ __all__ = [
     "TimeGrid",
     "WeightTable",
     "gen_weights",
-    "lag_block",
     "history_sums",
     "frac_apply",
     "rl_integral_oracle",
@@ -56,9 +54,6 @@ class TimeGrid:
     @property
     def tau(self) -> float:
         return self.T / self.N
-
-    def times(self) -> np.ndarray:
-        return self.tau * np.arange(self.N + 1)
 
 
 @dataclass(frozen=True)
@@ -166,10 +161,9 @@ def frac_apply(table: WeightTable, tau: float, seq: np.ndarray) -> np.ndarray:
     """Apply the discrete fractional operator of the table's order to a sequence.
 
     ``seq`` holds phi^0..phi^n along axis 0 (scalars or vectors); the result
-    has the same shape, entry n being tau^(-gamma) sum_j b_j phi^(n-j).
-    The input is not modified.  Entries are formed a lag block at a time:
-    one product for the lags reaching before the block, and one against the
-    lower-triangular Toeplitz matrix of b_0..b_{B-1} for the block's own.
+    has the same shape, entry n being tau^(-gamma) sum_j b_j phi^(n-j), that
+    is tau^(-gamma) (phi^n + the history sum of :func:`history_sums`), since
+    b_0 = 1.  The input is not modified.
     """
     if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
@@ -180,14 +174,9 @@ def frac_apply(table: WeightTable, tau: float, seq: np.ndarray) -> np.ndarray:
     if len(table) < nsteps:
         raise ValueError(
             f"weight table of length {len(table)} too short for {nsteps} entries")
-    B = min(HISTORY_BLOCK, max(nsteps, 1))
-    tri = scipy.linalg.toeplitz(table.weights[:B], np.zeros(B))
-    out = np.empty_like(phi)
-    for n0 in range(0, nsteps, B):
-        nb = min(B, nsteps - n0)
-        out[n0:n0 + nb] = tri[:nb, :nb] @ phi[n0:n0 + nb]
-        if n0:
-            out[n0:n0 + nb] += lag_block(table, phi[:n0], n0, nb)
+    out = phi.copy()
+    for n, hist in enumerate(history_sums(table, phi, max(nsteps - 1, 0)), start=1):
+        out[n] += hist
     out *= tau ** (-table.gamma)
     return out
 

@@ -25,7 +25,6 @@ __all__ = [
     "l2_project",
     "ritz_project",
     "l2_norm",
-    "weighted_norm",
     "l2_error_vs_function",
 ]
 
@@ -83,9 +82,6 @@ class Mesh2D:
             interior, np.cumsum(interior) - 1, -1).astype(np.int64)
         self.full_of_interior = np.flatnonzero(interior)
         self.n_interior = int(interior.sum())
-
-    def interior_coords(self) -> np.ndarray:
-        return self.coords[self.full_of_interior]
 
     def _geometry(self):
         """Per-triangle gradient coefficients and areas.
@@ -253,13 +249,6 @@ def l2_norm(sys: FemSystem, x: np.ndarray) -> float:
     """Mass-matrix norm, equal to the L2 norm of the P1 interpolant."""
     x = np.asarray(x, dtype=float)
     return float(np.sqrt(max(x @ (sys.M @ x), 0.0)))
-
-
-def weighted_norm(sys: FemSystem, tau: float, alpha: float, x: np.ndarray) -> float:
-    """Energy-like norm sqrt(x' (M + tau^alpha S) x) used by the inner solver."""
-    x = np.asarray(x, dtype=float)
-    val = x @ (sys.M @ x) + tau ** alpha * (x @ (sys.S @ x))
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def l2_error_vs_function(sys: FemSystem, x: np.ndarray, u) -> float:

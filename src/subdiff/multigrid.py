@@ -30,6 +30,7 @@ __all__ = [
     "build_hierarchy",
     "prolongation_matrix",
     "level_sizes",
+    "check_cycle",
     "smooth",
     "vcycle",
     "DirectSolver",
@@ -184,6 +185,14 @@ def level_sizes(K: int, K0: int) -> list:
     return Ks[::-1]
 
 
+def check_cycle(nu1: int, nu2: int, K0: int) -> None:
+    """Raise unless nu1, nu2 >= 0 with nu1 + nu2 >= 1 and K0 is even, >= 2."""
+    if nu1 < 0 or nu2 < 0 or nu1 + nu2 < 1:
+        raise ConfigurationError(f"need nu1, nu2 >= 0 with nu1+nu2 >= 1, got {nu1}, {nu2}")
+    if not (isinstance(K0, (int, np.integer)) and K0 >= 2 and K0 % 2 == 0):
+        raise ConfigurationError(f"coarsest K0 must be an even integer >= 2, got {K0}")
+
+
 def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
                     smoother: Smoother = GaussSeidelForward(),
                     nu1: int = 1, nu2: int = 1, K0: int = 4) -> MgHierarchy:
@@ -193,10 +202,7 @@ def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
     rediscretized on meshes K0, 2*K0, ...  The Galerkin identity
     P' B_fine P = B_coarse is checked level by level to 1e-12 relative.
     """
-    if nu1 < 0 or nu2 < 0 or nu1 + nu2 < 1:
-        raise ConfigurationError(f"need nu1, nu2 >= 0 with nu1+nu2 >= 1, got {nu1}, {nu2}")
-    if not (isinstance(K0, (int, np.integer)) and K0 >= 2 and K0 % 2 == 0):
-        raise ConfigurationError(f"coarsest K0 must be an even integer >= 2, got {K0}")
+    check_cycle(nu1, nu2, K0)
     Ks = level_sizes(fine.mesh.K, K0)
     if len(Ks) < 2:
         raise ConfigurationError(f"fine K={fine.mesh.K} equals K0; need L >= 1")

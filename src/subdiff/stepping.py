@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import TimeGrid, WeightTable, gen_weights, history_sums, lag_block
+from .cq import TimeGrid, gen_weights, history_sums
 from .errors import ConfigurationError, NumericsError
-from .fem import FemSystem, l2_norm, l2_project, load_vector, ritz_project
+from .fem import FemSystem, l2_norm, l2_project, load_vector
 from .multigrid import ContractionParams, DirectSolver, MgHierarchy, vcycle
 
 __all__ = [
     "ZeroInit",
     "L2Projected",
-    "RitzProjected",
     "PointwiseSource",
     "SeparableSource",
     "LoadSource",
@@ -43,11 +42,9 @@ __all__ = [
     "Trajectory",
     "ErrorReport",
     "schedule_iters",
-    "step_rhs",
     "run_exact",
     "run_iis",
     "error_report",
-    "write_trajectory_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -72,17 +69,6 @@ class L2Projected:
 
     def vector(self, sys: FemSystem) -> np.ndarray:
         return l2_project(sys, self.v)
-
-
-@dataclass(frozen=True)
-class RitzProjected:
-    """Start from the energy projection of v (the smooth-data choice)."""
-
-    av: object = None
-    grad: object = None
-
-    def vector(self, sys: FemSystem) -> np.ndarray:
-        return ritz_project(sys, av=self.av, grad=self.grad)
 
 
 @dataclass(frozen=True)
@@ -275,7 +261,6 @@ class StepRecord:
     t: float
     exact: bool
     iterations: int | None
-    correction: float
     wall_time: float
     corrections: tuple = ()
 
@@ -295,37 +280,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.U[-1]
-
-
-def step_rhs(spec: ProblemSpec, weights: WeightTable, history: np.ndarray,
-             load: np.ndarray | None) -> np.ndarray:
-    """Right-hand side of the step-n system given history U^0..U^{n-1}.
-
-    ``load`` is the step's load vector F^n (None for a zero source).
-    """
-    history = np.atleast_2d(np.asarray(history, dtype=float))
-    n = history.shape[0]
-    if n < 1:
-        raise ValueError("history must contain at least U^0")
-    if len(weights) < n + 1:
-        raise ValueError(
-            f"weight table of length {len(weights)} too short for step {n}")
-    if history.shape[1] != spec.sys.dim:
-        raise ValueError(
-            f"history vectors of length {history.shape[1]} do not match system "
-            f"dimension {spec.sys.dim}")
-    hist = lag_block(weights, history, n, 1)[0]
-    return _step_rhs(spec.sys.M, weights, history[0], hist, n,
-                     spec.grid.tau ** spec.alpha, load)
-
-
-def _step_rhs(M, weights: WeightTable, U0: np.ndarray, hist: np.ndarray, n: int,
-              taua: float, load: np.ndarray | None) -> np.ndarray:
-    """Step-n right-hand side from the history sum sum_{j=1..n} b_j U^{n-j}."""
-    r = M @ (weights.partial_sums[n] * U0 - hist)
-    if load is not None:
-        r = r + taua * load
-    return r
 
 
 def run_exact(spec: ProblemSpec) -> Trajectory:
@@ -367,12 +321,12 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
     for n in range(1, N + 1):
         t0 = time.perf_counter()
         t_n = n * tau
-        load = spec.source.load_at(sys, t_n) if spec.source is not None else None
-        r = _step_rhs(sys.M, weights, U[0], next(histories), n, taua, load)
+        r = sys.M @ (weights.partial_sums[n] * U[0] - next(histories))
+        if spec.source is not None:
+            r = r + taua * spec.source.load_at(sys, t_n)
         if schedule.exact(n):
             U[n] = direct.solve(r)
-            records.append(StepRecord(n, t_n, True, None, 0.0,
-                                      time.perf_counter() - t0))
+            records.append(StepRecord(n, t_n, True, None, time.perf_counter() - t0))
             continue
         m_n = schedule_iters(schedule, n, t_n, tau, spec.alpha)
         x = 2.0 * U[n - 1] - U[n - 2]
@@ -390,7 +344,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
                 f"{corrections[0]:.3e} to {corrections[-1]:.3e}")
         U[n] = x
         records.append(StepRecord(
-            n, t_n, False, m_n, corrections[-1], time.perf_counter() - t0,
+            n, t_n, False, m_n, time.perf_counter() - t0,
             tuple(corrections)))
     return Trajectory(grid=grid, U=U, records=tuple(records))
 
@@ -437,12 +391,3 @@ def error_report(traj: Trajectory, reference, sys: FemSystem) -> ErrorReport:
         raise ValueError("reference has zero norm; relative error is undefined")
     final = l2_norm(sys, traj.final - ref_final) / denom
     return ErrorReport(final=final, checkpoints=tuple(checkpoints))
-
-
-def write_trajectory_csv(traj: Trajectory, sys: FemSystem, path) -> None:
-    """Checkpoint export: n, t_n, M_n, l2_norm, weighted_correction."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,t_n,M_n,l2_norm,weighted_correction\n")
-        for rec in traj.records:
-            fh.write(f"{rec.n},{rec.t:.9g},{rec.label},"
-                     f"{l2_norm(sys, traj.U[rec.n]):.6e},{rec.correction:.6e}\n")

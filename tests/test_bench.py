@@ -7,6 +7,7 @@ import sys as _sys
 import numpy as np
 import pytest
 
+import subdiff.bench as bench
 import subdiff.cli as cli
 from subdiff.bench import (ContractionReport, ErrorTable, ExperimentConfig,
                            emit_table, example_problem, make_schedule,
@@ -255,6 +256,34 @@ def test_cli_configuration_error_exit_code():
     assert cli.main(["example1", "--K", "12", "--N", "5", "--ref-N", "80"]) == 2
     assert cli.main(["example1", "--schedule", "bogus:1", "--N", "5",
                      "--K", "8", "--ref-N", "80"]) == 2
+
+
+def test_cli_rejects_bad_multigrid_settings_before_any_run(monkeypatch):
+    def never(spec):
+        raise AssertionError("reference run started before the settings were checked")
+
+    monkeypatch.setattr(bench, "run_exact", never)
+    base = ["example1", "--N", "5", "--ref-N", "80"]
+    for bad in (["--K", "32", "--nu1", "0", "--nu2", "0"],
+                ["--K", "32", "--nu1", "-1"],
+                ["--K", "48", "--K0", "3"]):  # 48 = 3 * 2^4, but K0 is odd
+        assert cli.main(base + bad) == 2
+
+
+def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return ErrorTable(Ns=cfg.Ns, meta="#")
+
+    monkeypatch.setattr(cli, "run_example1", capture)
+    path = tmp_path / "bench.cfg"
+    path.write_text("alhpa=0.5\n")
+    assert cli.main(["example1", "--config", str(path)]) == 2
+    path.write_text(f"alpha=0.5\npaper-scale=yes\nformat=csv\nout={tmp_path / 't.csv'}\n")
+    assert cli.main(["example1", "--config", str(path)]) == 0
+    assert seen == [ExperimentConfig(alphas=(0.5,), K=128)]
 
 
 def test_cli_numerics_error_exit_code(monkeypatch):

@@ -101,6 +101,8 @@ def test_frac_apply_zero_sequence():
     table = gen_weights(0.5, 20)
     out = frac_apply(table, 0.1, np.zeros((21, 3)))
     assert np.all(out == 0.0)
+    for empty in (np.zeros(0), np.zeros((0, 3))):
+        assert frac_apply(table, 0.1, empty).shape == empty.shape
 
 
 def test_frac_apply_constant_sequence():
@@ -167,6 +169,18 @@ def test_history_sums_read_only_the_past():
         U[n] = rng.standard_normal(2)
 
 
+def test_history_sums_steady_history_collapses_to_initial_value():
+    """U^j = U^0 for all j: s_n U^0 - sum_{j=1..n} b_j U^{n-j} = b_0 U^0 = U^0,
+    the right-hand side of a steady step before the mass product."""
+    N = B + 5
+    table = gen_weights(0.3, N)
+    u0 = np.random.default_rng(0).standard_normal(9)
+    U = np.tile(u0, (N + 1, 1))
+    for n, hist in enumerate(history_sums(table, U, N), start=1):
+        steady = table.partial_sums[n] * u0 - hist
+        assert np.abs(steady - u0).max() <= 1e-13 * np.abs(u0).max()
+
+
 def test_frac_apply_validation():
     table = gen_weights(0.5, 3)
     with pytest.raises(ValueError):
@@ -225,8 +239,6 @@ def test_scalar_cq_consistency_first_order():
 def test_time_grid():
     g = TimeGrid(T=2.0, N=8)
     assert g.tau == 0.25
-    assert g.times()[0] == 0.0
-    assert g.times()[-1] == pytest.approx(2.0)
     with pytest.raises(ConfigurationError):
         TimeGrid(T=0.0, N=4)
     with pytest.raises(ConfigurationError):

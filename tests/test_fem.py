@@ -7,8 +7,9 @@ import pytest
 
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import (assemble, build_mesh, l2_error_vs_function, l2_norm,
-                         l2_project, load_vector, ritz_project, weighted_norm,
-                         _QUAD_BARY, _QUAD_W)
+                         l2_project, load_vector, ritz_project, _QUAD_BARY,
+                         _QUAD_W)
+from subdiff.multigrid import build_hierarchy
 
 
 def hat_function(mesh, ix, iy):
@@ -53,7 +54,7 @@ def test_mesh_counts():
     m = build_mesh(2)
     assert m.n_interior == 1
     assert len(m.triangles) == 8
-    np.testing.assert_allclose(m.interior_coords(), [[0.0, 0.0]])
+    np.testing.assert_allclose(m.coords[m.full_of_interior], [[0.0, 0.0]])
     m = build_mesh(4)
     assert m.n_interior == 9
     assert len(m.triangles) == 32
@@ -250,13 +251,13 @@ def test_norms_zero_vector():
     sys = assemble(build_mesh(4), 1.0)
     z = np.zeros(sys.dim)
     assert l2_norm(sys, z) == 0.0
-    assert weighted_norm(sys, 0.1, 0.5, z) == 0.0
+    assert build_hierarchy(sys, 0.1, 0.5, K0=2).weighted_norm(z) == 0.0
 
 
 def test_weighted_norm_reduces_to_l2_as_tau_vanishes():
     sys = assemble(build_mesh(8), 1.0)
     x = l2_project(sys, lambda x, y: (1 - x * x) * (1 - y * y))
-    wn = weighted_norm(sys, 1e-12, 0.5, x)
+    wn = build_hierarchy(sys, 1e-12, 0.5).weighted_norm(x)
     ln = l2_norm(sys, x)
     assert abs(wn - ln) <= 1e-5 * ln
 
@@ -265,9 +266,10 @@ def test_weighted_norm_definition():
     sys = assemble(build_mesh(8), 5.0)
     rng = np.random.default_rng(3)
     tau, alpha = 0.05, 0.7
+    h = build_hierarchy(sys, tau, alpha)
     for _ in range(5):
         x = rng.standard_normal(sys.dim)
-        gap = weighted_norm(sys, tau, alpha, x)**2 - l2_norm(sys, x)**2
+        gap = h.weighted_norm(x)**2 - l2_norm(sys, x)**2
         assert gap >= 0.0
         assert gap == pytest.approx(tau**alpha * (x @ (sys.S @ x)), rel=1e-12)
 

@@ -69,7 +69,7 @@ def test_prolongation_reproduces_coarse_hat():
     xc = np.zeros(coarse.n_interior)
     xc[coarse.interior_of_full[3 * 9 + 4]] = 1.0  # hat at coarse node (4, 3)
     hat = hat_function(coarse, 4, 3)
-    pts = fine.interior_coords()
+    pts = fine.coords[fine.full_of_interior]
     expected = hat(pts[:, 0], pts[:, 1])
     np.testing.assert_allclose(P @ xc, expected, atol=1e-14)
 

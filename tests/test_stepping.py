@@ -20,8 +20,7 @@ from subdiff.stepping import (ExactSchedule, FixedIterations, L2Projected,
                               LoadSource, LogSchedule, PointwiseSource,
                               ProblemSpec, SeparableSource, TheoryNonsmoothData,
                               TheorySmoothData, ZeroInit, error_report,
-                              run_exact, run_iis, schedule_iters, step_rhs,
-                              write_trajectory_csv)
+                              run_exact, run_iis, schedule_iters)
 
 
 class NodalInit:
@@ -50,51 +49,26 @@ def scalar_spec(alpha, N, lam=0.0, beta=None, u0=0.0, T=1.0):
                        sys=scalar_system(lam), initial=initial, source=source)
 
 
-# ------------------------------------------------------------- step_rhs
-
-
-def test_step_rhs_zero_data():
-    sys = assemble(build_mesh(4), 1.0)
-    spec = ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=8), sys=sys)
-    table = gen_weights(0.5, 8)
-    r = step_rhs(spec, table, np.zeros((1, sys.dim)), None)
-    assert np.all(r == 0.0)
-
-
-def test_step_rhs_steady_history_collapses_to_mass_product():
-    sys = assemble(build_mesh(4), 2.0)
-    spec = ProblemSpec(alpha=0.3, grid=TimeGrid(T=1.0, N=10), sys=sys)
-    table = gen_weights(0.3, 10)
-    rng = np.random.default_rng(0)
-    u0 = rng.standard_normal(sys.dim)
-    history = np.tile(u0, (5, 1))  # U^j = U^0 for all j < 5
-    r = step_rhs(spec, table, history, None)
-    np.testing.assert_allclose(r, sys.M @ u0, rtol=1e-13)
-
-
-def test_step_rhs_validation():
-    sys = assemble(build_mesh(4), 1.0)
-    spec = ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=3), sys=sys)
-    short = gen_weights(0.5, 1)
-    with pytest.raises(ValueError):
-        step_rhs(spec, short, np.zeros((3, sys.dim)), None)
-    with pytest.raises(ValueError):
-        step_rhs(spec, gen_weights(0.5, 5), np.zeros((2, sys.dim + 1)), None)
+# ------------------------------------------------------------- history
 
 
 def test_run_exact_matches_step_rhs_loop_across_lag_blocks():
-    """run_exact's lag-blocked history against a plain loop of step_rhs and
-    direct solves, at every step of a run spanning three blocks."""
+    """run_exact's lag-blocked history against a plain loop of per-step GEMV
+    histories and direct solves, at every step of a run spanning three
+    blocks."""
     sys = assemble(build_mesh(8), 5.0)
     N = 2 * HISTORY_BLOCK + 3
     spec = example_problem(1, sys, 0.5, N)
     traj = run_exact(spec)
     table = gen_weights(spec.alpha, N)
     solver = DirectSolver(sys.system_matrix(spec.grid.tau, spec.alpha))
+    taua = spec.grid.tau ** spec.alpha
     U = np.zeros((N + 1, sys.dim))
     for n in range(1, N + 1):
+        hist = table.weights[n:0:-1] @ U[:n]
         load = spec.source.load_at(sys, n * spec.grid.tau)
-        U[n] = solver.solve(step_rhs(spec, table, U[:n], load))
+        U[n] = solver.solve(
+            sys.M @ (table.partial_sums[n] * U[0] - hist) + taua * load)
     scale = np.abs(U).max()
     assert scale > 0.0
     assert np.abs(traj.U - U).max() <= 1e-12 * scale
@@ -428,17 +402,3 @@ def test_error_report_zero_reference_rejected():
     traj = run_exact(ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=4), sys=sys))
     with pytest.raises(ValueError):
         error_report(traj, np.zeros(sys.dim), sys)
-
-
-def test_trajectory_csv_export(tmp_path):
-    sys = assemble(build_mesh(8), 5.0)
-    spec = example_problem(2, sys, 0.5, 6)
-    h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
-    traj = run_iis(spec, FixedIterations(m=2), h)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, sys, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,t_n,M_n,l2_norm,weighted_correction"
-    assert len(lines) == 7
-    assert lines[1].split(",")[2] == "exact"
-    assert lines[-1].split(",")[2] == "2"
