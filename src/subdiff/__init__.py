@@ -14,10 +14,10 @@ from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
                         MgHierarchy, build_hierarchy, estimate_contraction,
                         smooth, vcycle)
 from .stepping import (ErrorReport, ExactSchedule, FixedIterations,
-                       L2Projected, LoadSource, LogSchedule, PointwiseSource,
-                       ProblemSpec, SeparableSource, TheoryNonsmoothData,
-                       TheorySmoothData, Trajectory, ZeroInit, error_report,
-                       run_exact, run_iis, schedule_iters)
+                       L2Projected, LogSchedule, ProblemSpec, SeparableSource,
+                       TheoryNonsmoothData, TheorySmoothData, Trajectory,
+                       ZeroInit, error_report, run_exact, run_iis,
+                       schedule_iters)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "DampedJacobi", "GaussSeidelForward", "MgHierarchy", "ContractionParams",
     "build_hierarchy", "vcycle", "smooth", "estimate_contraction",
     "ProblemSpec", "ZeroInit", "L2Projected",
-    "PointwiseSource", "SeparableSource", "LoadSource",
+    "SeparableSource",
     "ExactSchedule", "FixedIterations", "LogSchedule",
     "TheorySmoothData", "TheoryNonsmoothData",
     "Trajectory", "ErrorReport", "schedule_iters",

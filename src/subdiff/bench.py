@@ -26,7 +26,7 @@ from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
                         build_hierarchy, check_cycle, estimate_contraction,
                         level_sizes)
 from .stepping import (ExactSchedule, FixedIterations, L2Projected,
-                       LogSchedule, ProblemSpec, SeparableSource,
+                       LogSchedule, ProblemSpec, Schedule, SeparableSource,
                        TheoryNonsmoothData, TheorySmoothData, ZeroInit,
                        error_report, run_exact, run_iis)
 
@@ -35,8 +35,6 @@ __all__ = [
     "ErrorTable",
     "ContractionReport",
     "parse_schedule",
-    "make_schedule",
-    "make_smoother",
     "example_problem",
     "run_example1",
     "run_example2",
@@ -47,6 +45,7 @@ __all__ = [
 
 DEFAULT_ROWS_EXAMPLE1 = ("fixed:1", "fixed:2", "fixed:3", "exact")
 DEFAULT_ROWS_EXAMPLE2 = ("log:3,0", "log:3,3", "log:3,6", "exact")
+FORMATS = ("csv", "md")
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,12 @@ class ExperimentConfig:
                 f"ref_N={self.ref_N} must be at least 16x the largest N={max(self.Ns)}")
         if self.ref_file is not None and len(self.alphas) != 1:
             raise ConfigurationError("an external reference file fixes a single alpha")
+        # Build each row once, theory rows with a stand-in pair, so that a bad
+        # row or startup count fails here and not after a reference run.  The
+        # stock rows are valid; "exact" still checks the startup count.
+        stand_in = ContractionParams(c0=1.0, kappa=0.5)
+        for text in self.schedules or ("exact",):
+            parse_schedule(text, self.startup_exact, stand_in)
 
     def meta_line(self, command: str) -> str:
         return (f"# subdiff-bench {command} seed={self.seed} K={self.K} "
@@ -96,51 +101,30 @@ class ExperimentConfig:
                 f"startup={self.startup_exact} refN={self.ref_N} K0={self.K0}")
 
 
-def make_smoother(cfg: ExperimentConfig):
-    if cfg.smoother == "gs":
-        return GaussSeidelForward()
-    return DampedJacobi(omega=cfg.omega)
-
-
-def parse_schedule(text: str):
-    """Parse a schedule spec string.
+def parse_schedule(text: str, startup: int,
+                   contraction: ContractionParams | None = None) -> Schedule:
+    """Build the schedule a row spec names, solving steps 1..startup exactly.
 
     Accepted forms: ``exact``, ``fixed:m``, ``log:a,b``,
-    ``theory-smooth:delta``, ``theory-nonsmooth:delta``.
+    ``theory-smooth:delta``, ``theory-nonsmooth:delta``; the theory rows need
+    the measured ``contraction`` pair.
     """
     text = text.strip()
+    kind, _, arg = text.partition(":")
     try:
         if text == "exact":
-            return ("exact",)
-        kind, _, arg = text.partition(":")
+            return ExactSchedule(exact_startup_steps=startup)
         if kind == "fixed":
-            return ("fixed", int(arg))
+            return FixedIterations(m=int(arg), exact_startup_steps=startup)
         if kind == "log":
             a, b = arg.split(",")
-            return ("log", int(a), int(b))
+            return LogSchedule(a=int(a), b=int(b), exact_startup_steps=startup)
         if kind in ("theory-smooth", "theory-nonsmooth"):
-            return (kind, float(arg))
+            cls = TheorySmoothData if kind == "theory-smooth" else TheoryNonsmoothData
+            return cls(delta=float(arg), params=contraction, exact_startup_steps=startup)
     except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"cannot parse schedule {text!r}: {exc}") from exc
+        raise ConfigurationError(f"bad schedule {text!r}: {exc}") from exc
     raise ConfigurationError(f"unknown schedule spec {text!r}")
-
-
-def make_schedule(spec, startup: int, contraction: ContractionParams | None = None):
-    """Materialize a parsed schedule spec into a schedule object."""
-    kind = spec[0]
-    if kind == "exact":
-        return ExactSchedule(exact_startup_steps=startup)
-    if kind == "fixed":
-        return FixedIterations(m=spec[1], exact_startup_steps=startup)
-    if kind == "log":
-        return LogSchedule(a=spec[1], b=spec[2], exact_startup_steps=startup)
-    if kind in ("theory-smooth", "theory-nonsmooth"):
-        if contraction is None:
-            raise ConfigurationError(
-                f"schedule {kind} needs measured contraction parameters")
-        cls = TheorySmoothData if kind == "theory-smooth" else TheoryNonsmoothData
-        return cls(delta=spec[1], params=contraction, exact_startup_steps=startup)
-    raise ConfigurationError(f"unknown schedule spec {spec!r}")
 
 
 def example_problem(example: int, sys, alpha: float, N: int, T: float = 1.0) -> ProblemSpec:
@@ -268,33 +252,35 @@ class ContractionReport:
 
 def _reference_final(cfg: ExperimentConfig, sys, example: int, alpha: float) -> np.ndarray:
     if cfg.ref_file is not None:
-        vec = np.load(cfg.ref_file)
-        if vec.shape != (sys.dim,):
+        try:
+            vec = np.load(cfg.ref_file)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read reference file: {exc}") from exc
+        if vec.shape != (sys.dim,) or not np.isfinite(vec).all():
             raise ConfigurationError(
-                f"reference file has shape {vec.shape}, expected ({sys.dim},)")
+                f"reference file needs {sys.dim} finite values, has shape {vec.shape}")
         return vec
     spec = example_problem(example, sys, alpha, cfg.ref_N, cfg.T)
     return run_exact(spec).final
 
 
 def _run_example(cfg: ExperimentConfig, example: int, default_rows) -> ErrorTable:
-    rows = cfg.schedules or default_rows
-    parsed = [(label, parse_schedule(label)) for label in rows]
+    rows = [label.strip() for label in cfg.schedules or default_rows]
     sys = assemble(build_mesh(cfg.K), cfg.c_A)
-    smoother = make_smoother(cfg)
+    smoother = GaussSeidelForward() if cfg.smoother == "gs" else DampedJacobi(omega=cfg.omega)
     table = ErrorTable(Ns=tuple(cfg.Ns), meta=cfg.meta_line(f"example{example}"))
     for alpha in cfg.alphas:
         ref = _reference_final(cfg, sys, example, alpha)
         for N in cfg.Ns:
             spec = example_problem(example, sys, alpha, N, cfg.T)
             hierarchy = contraction = None
-            if any(p[0] != "exact" for _, p in parsed):
+            if any(label != "exact" for label in rows):
                 hierarchy = build_hierarchy(sys, spec.grid.tau, alpha, smoother,
                                             cfg.nu1, cfg.nu2, cfg.K0)
-            if any(p[0].startswith("theory") for _, p in parsed):
+            if any(label.startswith("theory") for label in rows):
                 contraction = estimate_contraction(hierarchy, seed=cfg.seed)
-            for label, pspec in parsed:
-                schedule = make_schedule(pspec, cfg.startup_exact, contraction)
+            for label in rows:
+                schedule = parse_schedule(label, cfg.startup_exact, contraction)
                 t0 = time.perf_counter()
                 traj = run_iis(spec, schedule, hierarchy)
                 err = error_report(traj, ref, sys).final
@@ -334,11 +320,9 @@ def run_contraction_sweep(cfg: ExperimentConfig) -> ContractionReport:
 
 def emit_table(table, fmt: str = "csv") -> str:
     """Render a table as CSV or Markdown text."""
-    if fmt == "csv":
-        return table.to_csv()
-    if fmt == "md":
-        return table.to_markdown()
-    raise ConfigurationError(f"unknown format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ConfigurationError(f"unknown format {fmt!r}")
+    return table.to_csv() if fmt == "csv" else table.to_markdown()
 
 
 def weight_table_csv(gamma: float, n_max: int) -> str:

@@ -10,58 +10,52 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/divergence failure.
 """
 
 import argparse
+import os
 import sys
 
-from .bench import (ExperimentConfig, emit_table, run_contraction_sweep,
+from .bench import (FORMATS, ExperimentConfig, emit_table, run_contraction_sweep,
                     run_example1, run_example2, weight_table_csv)
 from .errors import ConfigurationError, NumericsError
 
-# ExperimentConfig field -> (config-file key, value type).  Each flag stores
-# into the field of its name; fields given neither way keep their defaults.
-_FIELDS = {
-    "alphas": ("alpha", float), "Ns": ("N", int), "K": ("K", int),
-    "c_A": ("cA", float), "smoother": ("smoother", str),
-    "omega": ("omega", float), "nu1": ("nu1", int), "nu2": ("nu2", int),
-    "schedules": ("schedule", str), "startup_exact": ("startup-exact", int),
-    "ref_N": ("ref-N", int), "ref_file": ("ref-file", str), "K0": ("K0", int),
-    "seed": ("seed", int),
-}
-_LIST_FIELDS = {"alphas", "Ns", "schedules"}
-_FILE_KEYS = {key for key, _ in _FIELDS.values()} | {"format", "out", "paper-scale"}
+# The settings of the table commands, one entry each: (flag and config-file
+# key, ExperimentConfig field, value type, help).  A field whose default is a
+# tuple takes a repeatable flag and a list value in the file.  Fields given
+# neither way keep ExperimentConfig's defaults.
+SETTINGS = (
+    ("alpha", "alphas", float, "fractional order; repeatable"),
+    ("N", "Ns", int, "time step count; repeatable"),
+    ("K", "K", int, "subdivisions per side"),
+    ("cA", "c_A", float, "diffusivity c in A = -c*Laplacian"),
+    ("smoother", "smoother", str, "V-cycle smoother: gs | jacobi"),
+    ("omega", "omega", float, "Jacobi damping"),
+    ("nu1", "nu1", int, "pre-smoothing sweeps"),
+    ("nu2", "nu2", int, "post-smoothing sweeps"),
+    ("schedule", "schedules", str, "row schedule: exact | fixed:m | log:a,b | "
+                                   "theory-smooth:delta | theory-nonsmooth:delta; repeatable"),
+    ("startup-exact", "startup_exact", int, "steps solved exactly before iterating"),
+    ("ref-N", "ref_N", int, "steps of the fine reference run"),
+    ("ref-file", "ref_file", str, ".npy file holding the final-time reference vector"),
+    ("K0", "K0", int, "coarsest hierarchy level"),
+    ("seed", "seed", int, "random seed for contraction probes"),
+)
+_DEFAULTS = ExperimentConfig()
+_FILE_KEYS = {flag for flag, *_ in SETTINGS} | {"format", "out", "paper-scale"}
 PAPER_SCALE_K = 128
 
 
 def _add_common(p):
-    d = ExperimentConfig()
-    p.add_argument("--alpha", action="append", type=float, dest="alphas",
-                   help=f"fractional order; repeatable (default {' '.join(map(str, d.alphas))})")
-    p.add_argument("--N", action="append", type=int, dest="Ns",
-                   help=f"time step count; repeatable (default {' '.join(map(str, d.Ns))})")
-    p.add_argument("--K", type=int, help=f"subdivisions per side (default {d.K})")
-    p.add_argument("--cA", type=float, dest="c_A",
-                   help=f"diffusivity c in A = -c*Laplacian (default {d.c_A:g})")
-    p.add_argument("--smoother", choices=("jacobi", "gs"),
-                   help=f"V-cycle smoother (default {d.smoother})")
-    p.add_argument("--omega", type=float, help="Jacobi damping (default 2/3)")
-    p.add_argument("--nu1", type=int, help=f"pre-smoothing sweeps (default {d.nu1})")
-    p.add_argument("--nu2", type=int, help=f"post-smoothing sweeps (default {d.nu2})")
-    p.add_argument("--schedule", action="append", dest="schedules",
-                   help="row schedule: exact | fixed:m | log:a,b | "
-                        "theory-smooth:delta | theory-nonsmooth:delta; repeatable")
-    p.add_argument("--startup-exact", type=int, dest="startup_exact",
-                   help=f"steps solved exactly before iterating (default {d.startup_exact})")
-    p.add_argument("--ref-N", type=int, dest="ref_N",
-                   help=f"steps of the fine reference run (default {d.ref_N})")
-    p.add_argument("--ref-file", dest="ref_file",
-                   help=".npy file holding the final-time reference vector")
+    for flag, field, cast, text in SETTINGS:
+        default = getattr(_DEFAULTS, field)
+        many = isinstance(default, tuple)
+        if default not in (None, ()):
+            text += " (default " + " ".join(f"{v:g}" if isinstance(v, float) else str(v)
+                                           for v in (default if many else (default,))) + ")"
+        p.add_argument(f"--{flag}", dest=field, type=cast, help=text,
+                       action="append" if many else "store")
     p.add_argument("--paper-scale", action="store_true", dest="paper_scale",
-                   help=f"use K={PAPER_SCALE_K} (desk-scale default is K={d.K})")
-    p.add_argument("--K0", type=int, help=f"coarsest hierarchy level (default {d.K0})")
-    p.add_argument("--seed", type=int,
-                   help=f"random seed for contraction probes (default {d.seed})")
+                   help=f"use K={PAPER_SCALE_K} (desk-scale default is K={_DEFAULTS.K})")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "md"), dest="fmt",
-                   help="output format (default csv)")
+    p.add_argument("--format", dest="fmt", help="output format: csv | md (default csv)")
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -106,27 +100,27 @@ def _given(args: argparse.Namespace, file_vals: dict) -> dict:
     if unknown:
         raise ConfigurationError(f"unknown config key(s): {', '.join(unknown)}")
     given = {}
-    try:
-        for field, (key, cast) in _FIELDS.items():
-            if key not in file_vals:
-                continue
-            raw = file_vals[key]
-            if field in _LIST_FIELDS:
-                # schedules split on whitespace only: 'log:3,6' contains a comma
-                if field != "schedules":
-                    raw = raw.replace(",", " ")
-                given[field] = tuple(cast(v) for v in raw.split())
-            else:
-                given[field] = cast(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from exc
-    for field in _FIELDS:
-        val = getattr(args, field)
-        if val is not None:
-            given[field] = tuple(val) if field in _LIST_FIELDS else val
+    for flag, field, cast, _ in SETTINGS:
+        many = isinstance(getattr(_DEFAULTS, field), tuple)
+        if flag in file_vals:
+            raw = file_vals[flag]
+            if many and field != "schedules":  # 'log:3,6' contains a comma
+                raw = raw.replace(",", " ")
+            try:
+                given[field] = tuple(map(cast, raw.split())) if many else cast(raw)
+            except ValueError as exc:
+                raise ConfigurationError(f"bad config value: {exc}") from exc
+        flagged = getattr(args, field)
+        if flagged is not None:
+            given[field] = tuple(flagged) if many else flagged
     if args.paper_scale or file_vals.get("paper-scale", "").lower() in ("1", "true", "yes"):
         given["K"] = PAPER_SCALE_K
     return given
+
+
+def _check_out_dir(out: str | None) -> None:
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigurationError(f"output directory of {out} does not exist")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -150,19 +144,23 @@ def _print_timings(table) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "weights-dump":
+            _check_out_dir(args.out)
             _write(weight_table_csv(args.gamma, args.n_max), args.out)
             return 0
         file_vals = _read_config_file(args.config) if args.config else {}
         cfg = ExperimentConfig(**_given(args, file_vals))
+        fmt = args.fmt or file_vals.get("format", "csv")
+        out = args.out or file_vals.get("out")
+        if fmt not in FORMATS:
+            raise ConfigurationError(f"unknown format {fmt!r}")
+        _check_out_dir(out)
         runner = {"example1": run_example1, "example2": run_example2,
                   "contraction": run_contraction_sweep}[args.command]
         table = runner(cfg)
-        _write(emit_table(table, args.fmt or file_vals.get("format", "csv")),
-               args.out or file_vals.get("out"))
+        _write(emit_table(table, fmt), out)
         _print_timings(table)
         return 0
     except ValueError as exc:  # ConfigurationError and plain domain errors

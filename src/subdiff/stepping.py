@@ -28,9 +28,7 @@ from .multigrid import ContractionParams, DirectSolver, MgHierarchy, vcycle
 __all__ = [
     "ZeroInit",
     "L2Projected",
-    "PointwiseSource",
     "SeparableSource",
-    "LoadSource",
     "ProblemSpec",
     "Schedule",
     "ExactSchedule",
@@ -71,16 +69,6 @@ class L2Projected:
         return l2_project(sys, self.v)
 
 
-@dataclass(frozen=True)
-class PointwiseSource:
-    """Source f(x, y, t), integrated by quadrature at every step."""
-
-    f: object
-
-    def load_at(self, sys: FemSystem, t: float) -> np.ndarray:
-        return load_vector(sys.mesh, lambda x, y: self.f(x, y, t))
-
-
 class SeparableSource:
     """Source time_fn(t) * space_fn(x, y); the spatial load is assembled once
     per mesh."""
@@ -94,17 +82,6 @@ class SeparableSource:
         if self._cache is None or self._cache[0] is not sys.mesh:
             self._cache = (sys.mesh, load_vector(sys.mesh, self.space_fn))
         return self.time_fn(t) * self._cache[1]
-
-
-@dataclass(frozen=True)
-class LoadSource:
-    """Source given directly as a load vector t -> F(t); used by scalar
-    surrogate systems where no mesh quadrature applies."""
-
-    fn: object
-
-    def load_at(self, sys: FemSystem, t: float) -> np.ndarray:
-        return np.asarray(self.fn(t), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -273,7 +250,6 @@ class StepRecord:
 class Trajectory:
     """Nodal solution vectors U^0..U^N plus per-step records."""
 
-    grid: TimeGrid
     U: np.ndarray
     records: tuple
 
@@ -305,8 +281,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
                 and hierarchy.alpha == spec.alpha):
             raise ConfigurationError(
                 "hierarchy was built for different tau or alpha than the problem")
-    grid = spec.grid
-    N, tau = grid.N, grid.tau
+    N, tau = spec.grid.N, spec.grid.tau
     taua = tau ** spec.alpha
     sys = spec.sys
     weights = gen_weights(spec.alpha, N)
@@ -346,7 +321,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
         records.append(StepRecord(
             n, t_n, False, m_n, time.perf_counter() - t0,
             tuple(corrections)))
-    return Trajectory(grid=grid, U=U, records=tuple(records))
+    return Trajectory(U=U, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -354,40 +329,19 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Relative L2 errors against a reference: final-time value plus any
-    intermediate checkpoints (t, error) where the grids align."""
+    """Relative L2 error against a reference at the final time."""
 
     final: float
-    checkpoints: tuple = ()
 
 
 def error_report(traj: Trajectory, reference, sys: FemSystem) -> ErrorReport:
-    """Relative L2 error of a trajectory against a reference.
-
-    ``reference`` is either a nodal vector at the final time or a finer
-    trajectory on the same mesh whose step count is a multiple of the
-    trajectory's (checkpoints are then reported at every shared time).
-    """
-    if isinstance(reference, Trajectory):
-        ref_final = reference.final
-        checkpoints = []
-        if (reference.grid.N % traj.grid.N == 0
-                and math.isclose(reference.grid.T, traj.grid.T, rel_tol=1e-12)):
-            stride = reference.grid.N // traj.grid.N
-            for n in range(1, traj.grid.N + 1):
-                ref_n = reference.U[n * stride]
-                denom = l2_norm(sys, ref_n)
-                if denom > 0.0:
-                    err = l2_norm(sys, traj.U[n] - ref_n) / denom
-                    checkpoints.append((n * traj.grid.tau, err))
-    else:
-        ref_final = np.asarray(reference, dtype=float)
-        checkpoints = []
+    """Relative L2 error of a trajectory's final vector against a nodal
+    reference vector at the final time."""
+    ref_final = np.asarray(reference, dtype=float)
     if ref_final.shape != (sys.dim,):
         raise ValueError(
             f"reference of shape {ref_final.shape} does not match dimension {sys.dim}")
     denom = l2_norm(sys, ref_final)
     if denom == 0.0:
         raise ValueError("reference has zero norm; relative error is undefined")
-    final = l2_norm(sys, traj.final - ref_final) / denom
-    return ErrorReport(final=final, checkpoints=tuple(checkpoints))
+    return ErrorReport(final=l2_norm(sys, traj.final - ref_final) / denom)

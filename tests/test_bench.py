@@ -10,12 +10,14 @@ import pytest
 import subdiff.bench as bench
 import subdiff.cli as cli
 from subdiff.bench import (ContractionReport, ErrorTable, ExperimentConfig,
-                           emit_table, example_problem, make_schedule,
-                           parse_schedule, run_contraction_sweep,
-                           run_example1, run_example2, weight_table_csv)
+                           emit_table, example_problem, parse_schedule,
+                           run_contraction_sweep, run_example1, run_example2,
+                           weight_table_csv)
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import assemble, build_mesh
-from subdiff.stepping import ExactSchedule, FixedIterations, LogSchedule
+from subdiff.multigrid import ContractionParams
+from subdiff.stepping import (ExactSchedule, FixedIterations, LogSchedule,
+                              TheoryNonsmoothData, TheorySmoothData)
 
 
 TINY = dict(alphas=(0.5,), Ns=(5, 10), K=8, ref_N=160)
@@ -39,24 +41,22 @@ def test_config_validation():
 
 
 def test_parse_schedule_forms():
-    assert parse_schedule("exact") == ("exact",)
-    assert parse_schedule("fixed:3") == ("fixed", 3)
-    assert parse_schedule("log:3,6") == ("log", 3, 6)
-    assert parse_schedule("theory-smooth:0.1") == ("theory-smooth", 0.1)
-    assert parse_schedule("theory-nonsmooth:0.2") == ("theory-nonsmooth", 0.2)
-    for bad in ("fixed", "fixed:x", "log:1", "nope:3", "exact:1"):
+    params = ContractionParams(c0=1.5, kappa=0.3)
+    assert parse_schedule("exact", 2) == ExactSchedule(exact_startup_steps=2)
+    assert parse_schedule(" fixed:4 ", 3) == FixedIterations(m=4, exact_startup_steps=3)
+    assert parse_schedule("log:3,6", 2) == LogSchedule(a=3, b=6)
+    assert parse_schedule("theory-smooth:0.1", 2, params) == TheorySmoothData(
+        delta=0.1, params=params)
+    assert parse_schedule("theory-nonsmooth:0.2", 1, params) == TheoryNonsmoothData(
+        delta=0.2, params=params, exact_startup_steps=1)
+    for bad in ("fixed", "fixed:x", "log:1", "nope:3", "exact:1", "fixed:0",
+                "log:0,0", "theory-smooth:1.5"):
         with pytest.raises(ConfigurationError):
-            parse_schedule(bad)
-
-
-def test_make_schedule():
-    assert isinstance(make_schedule(("exact",), 2), ExactSchedule)
-    sched = make_schedule(("fixed", 4), 3)
-    assert isinstance(sched, FixedIterations)
-    assert (sched.m, sched.exact_startup_steps) == (4, 3)
-    assert isinstance(make_schedule(("log", 1, 2), 2), LogSchedule)
+            parse_schedule(bad, 2, params)
     with pytest.raises(ConfigurationError):
-        make_schedule(("theory-smooth", 0.1), 2, contraction=None)
+        parse_schedule("exact", 0)  # the startup count is checked by every row
+    with pytest.raises(ConfigurationError):
+        parse_schedule("theory-smooth:0.1", 2)  # no measured contraction
 
 
 def test_example_problems():
@@ -209,6 +209,8 @@ def test_cli_weights_dump(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "j,b_j,bound"
     assert len(lines) == 11
+    assert cli.main(["weights-dump", "--gamma", "0.5", "--n-max", "8",
+                     "--out", str(tmp_path / "missing" / "w.csv")]) == 2
 
 
 def test_cli_example1_tiny(tmp_path):
@@ -258,16 +260,32 @@ def test_cli_configuration_error_exit_code():
                      "--K", "8", "--ref-N", "80"]) == 2
 
 
-def test_cli_rejects_bad_multigrid_settings_before_any_run(monkeypatch):
+def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch):
     def never(spec):
         raise AssertionError("reference run started before the settings were checked")
 
     monkeypatch.setattr(bench, "run_exact", never)
+    bad_format = tmp_path / "bench.cfg"
+    bad_format.write_text("format=xml\n")
     base = ["example1", "--N", "5", "--ref-N", "80"]
     for bad in (["--K", "32", "--nu1", "0", "--nu2", "0"],
                 ["--K", "32", "--nu1", "-1"],
-                ["--K", "48", "--K0", "3"]):  # 48 = 3 * 2^4, but K0 is odd
+                ["--K", "48", "--K0", "3"],  # 48 = 3 * 2^4, but K0 is odd
+                ["--K", "8", "--startup-exact", "0"],
+                ["--K", "8", "--schedule", "exact", "--schedule", "fixed:0"],
+                ["--K", "8", "--schedule", "theory-smooth:1.5"],
+                ["--K", "8", "--smoother", "sor"],
+                ["--K", "8", "--format", "xml"],
+                ["--K", "8", "--config", str(bad_format)],
+                ["--K", "8", "--out", str(tmp_path / "missing" / "t.csv")]):
         assert cli.main(base + bad) == 2
+
+
+def test_cli_bad_reference_file_exit_code(tmp_path):
+    argv = ["example1", "--alpha", "0.5", "--K", "8", "--N", "5", "--ref-file"]
+    assert cli.main(argv + [str(tmp_path / "missing.npy")]) == 2
+    np.save(tmp_path / "nan.npy", np.full(49, np.nan))  # K=8: 49 interior nodes
+    assert cli.main(argv + [str(tmp_path / "nan.npy")]) == 2
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subdiff.multigrid as multigrid
 from subdiff.errors import ConfigurationError, NumericsError
@@ -16,6 +18,11 @@ from test_fem import hat_function
 def surrogate_system(M, S, c_A=1.0):
     """FemSystem carrying raw matrices only (algebra-level tests)."""
     return FemSystem(mesh=None, c_A=c_A, M=sp.csr_matrix(M), S=sp.csr_matrix(S))
+
+
+@pytest.fixture(scope="module")
+def sys16():
+    return assemble(build_mesh(16), 5.0)
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +59,11 @@ def test_incompatible_K_rejected():
         build_hierarchy(sys4, 0.1, 0.5, GaussSeidelForward(), K0=4)  # L = 0
 
 
-def test_galerkin_coarse_operator_identity():
-    sys = assemble(build_mesh(16), 5.0)
-    h = build_hierarchy(sys, 0.05, 0.3, DampedJacobi(), K0=4)
+@settings(max_examples=25, deadline=None)
+@given(tau=st.floats(1e-4, 1.0), alpha=st.floats(0.05, 0.95))
+def test_galerkin_coarse_operator_identity(sys16, tau, alpha):
+    """P'B_fP = B_c on every level pair, at any (tau, alpha)."""
+    h = build_hierarchy(sys16, tau, alpha, DampedJacobi(), K0=2)
     for i, P in enumerate(h.prolongations):
         fine_B = h.levels[i + 1].B
         coarse_B = h.levels[i].B

@@ -16,8 +16,7 @@ from subdiff.fem import FemSystem, assemble, build_mesh, l2_norm
 from subdiff.multigrid import (ContractionParams, DirectSolver,
                                GaussSeidelForward, build_hierarchy,
                                estimate_contraction)
-from subdiff.stepping import (ExactSchedule, FixedIterations, L2Projected,
-                              LoadSource, LogSchedule, PointwiseSource,
+from subdiff.stepping import (ExactSchedule, FixedIterations, LogSchedule,
                               ProblemSpec, SeparableSource, TheoryNonsmoothData,
                               TheorySmoothData, ZeroInit, error_report,
                               run_exact, run_iis, schedule_iters)
@@ -31,6 +30,17 @@ class NodalInit:
 
     def vector(self, sys):
         return self.vec.copy()
+
+
+class LoadSource:
+    """Test helper: a source given directly as a load vector t -> F(t), for
+    surrogate systems where no mesh quadrature applies."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def load_at(self, sys, t):
+        return np.asarray(self.fn(t), dtype=float)
 
 
 def scalar_system(lam=0.0):
@@ -247,10 +257,18 @@ def test_iis_with_exact_schedule_is_bitwise_run_exact():
     assert np.array_equal(a.U, b.U)
 
 
-def test_many_inner_iterations_match_direct_solves():
-    sys = assemble(build_mesh(32), 5.0)
-    spec = example_problem(1, sys, 0.5, 40)
-    h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
+@pytest.fixture(scope="module")
+def sys16():
+    return assemble(build_mesh(16), 5.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(N=st.integers(3, 24), alpha=st.floats(0.05, 0.95))
+def test_many_inner_iterations_match_direct_solves(sys16, N, alpha):
+    """IIS with many V-cycles per step reproduces run_exact at any (tau, alpha)."""
+    sys = sys16
+    spec = example_problem(1, sys, alpha, N)
+    h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
     exact = run_exact(spec)
     iis = run_iis(spec, FixedIterations(m=30), h)
     rel = l2_norm(sys, iis.final - exact.final) / l2_norm(sys, exact.final)
@@ -328,15 +346,13 @@ def _bump(x, y):
 
 
 def _nan_source(kind, sys):
-    if kind == "pointwise":
-        return PointwiseSource(lambda x, y, t: _nan_after_half(t) * _bump(x, y))
     if kind == "separable":
         return SeparableSource(_nan_after_half, _bump)
     return LoadSource(lambda t: np.full(sys.dim, _nan_after_half(t)))
 
 
 @pytest.mark.parametrize("runner", ["exact", "iis"])
-@pytest.mark.parametrize("kind", ["pointwise", "separable", "load"])
+@pytest.mark.parametrize("kind", ["separable", "load"])
 def test_non_finite_source_fails_loudly(kind, runner):
     sys = assemble(build_mesh(8), 5.0)
     spec = ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=16), sys=sys,
@@ -369,7 +385,7 @@ def test_self_convergence_first_order(example, alpha):
     for N in (20, 40):
         coarse = run_exact(example_problem(example, sys, alpha, N))
         fine = run_exact(example_problem(example, sys, alpha, 4 * N))
-        errors.append(error_report(coarse, fine, sys).final)
+        errors.append(error_report(coarse, fine.final, sys).final)
     order = math.log2(errors[0] / errors[1])
     assert 0.85 <= order <= 1.15
 
@@ -381,20 +397,9 @@ def test_error_report_identical_and_scaled():
     sys = assemble(build_mesh(8), 5.0)
     spec = example_problem(1, sys, 0.5, 6)
     traj = run_exact(spec)
-    assert error_report(traj, traj, sys).final == 0.0
+    assert error_report(traj, traj.final, sys).final == 0.0
     doubled = 2.0 * traj.final
     assert error_report(traj, doubled, sys).final == pytest.approx(0.5, rel=1e-14)
-
-
-def test_error_report_checkpoints_aligned():
-    sys = assemble(build_mesh(8), 5.0)
-    coarse = run_exact(example_problem(1, sys, 0.5, 5))
-    fine = run_exact(example_problem(1, sys, 0.5, 20))
-    report = error_report(coarse, fine, sys)
-    assert len(report.checkpoints) == 5
-    times = [t for t, _ in report.checkpoints]
-    np.testing.assert_allclose(times, [0.2, 0.4, 0.6, 0.8, 1.0], rtol=1e-12)
-    assert report.checkpoints[-1][1] == report.final
 
 
 def test_error_report_zero_reference_rejected():
