@@ -118,7 +118,9 @@ def _given(args: argparse.Namespace, file_vals: dict) -> dict:
     return given
 
 
-def _check_out_dir(out: str | None) -> None:
+def _check_out(out: str | None) -> None:
+    if out is not None and os.path.isdir(out):
+        raise ConfigurationError(f"output path {out} is a directory")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigurationError(f"output directory of {out} does not exist")
 
@@ -126,9 +128,12 @@ def _check_out_dir(out: str | None) -> None:
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out}: {exc}") from exc
 
 
 def _print_timings(table) -> None:
@@ -147,7 +152,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "weights-dump":
-            _check_out_dir(args.out)
+            _check_out(args.out)
             _write(weight_table_csv(args.gamma, args.n_max), args.out)
             return 0
         file_vals = _read_config_file(args.config) if args.config else {}
@@ -156,7 +161,7 @@ def main(argv=None) -> int:
         out = args.out or file_vals.get("out")
         if fmt not in FORMATS:
             raise ConfigurationError(f"unknown format {fmt!r}")
-        _check_out_dir(out)
+        _check_out(out)
         runner = {"example1": run_example1, "example2": run_example2,
                   "contraction": run_contraction_sweep}[args.command]
         table = runner(cfg)

@@ -8,9 +8,11 @@ with b_j the CQ weights and s_n their partial sum.  ``run_exact`` solves every
 step with a direct factorization; ``run_iis`` solves steps beyond a short
 exact startup approximately, starting from the extrapolated guess
 2 U^{n-1} - U^{n-2} and applying a scheduled number M_n of multigrid V-cycles.
-History convolutions use the exact weights over the stored trajectory, O(N^2)
-flops in all, evaluated in lag blocks (``cq.history_sums``): one GEMM per
-block of 128 steps reads the stored trajectory, instead of one GEMV per step.
+The history sum comes from the streamed ``cq.History``: exact weights for the
+lags within the current block of 128 steps, a sum-of-exponentials fit for the
+older ones.  A run keeps U^0, the extrapolation pair U^{n-1}, U^{n-2}, one
+block buffer and the fit's modes, never the whole trajectory; it returns the
+final vector and the per-step records.
 """
 
 import logging
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import TimeGrid, gen_weights, history_sums
+from .cq import History, TimeGrid, gen_weights
 from .errors import ConfigurationError, NumericsError
 from .fem import FemSystem, l2_norm, l2_project, load_vector
 from .multigrid import ContractionParams, DirectSolver, MgHierarchy, vcycle
@@ -248,14 +250,10 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Nodal solution vectors U^0..U^N plus per-step records."""
+    """The nodal solution vector U^N at the final time plus per-step records."""
 
-    U: np.ndarray
+    final: np.ndarray
     records: tuple
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.U[-1]
 
 
 def run_exact(spec: ProblemSpec) -> Trajectory:
@@ -289,22 +287,22 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
     B = sys.system_matrix(tau, spec.alpha)
     direct = DirectSolver(B)
 
-    U = np.zeros((N + 1, sys.dim))
-    U[0] = spec.initial.vector(sys)
+    u0 = spec.initial.vector(sys)
+    u = u_prev = u0  # U^{n-1} and U^{n-2}
     records = []
-    histories = history_sums(weights, U, N)
+    history = History(weights, N, sys.dim)
     for n in range(1, N + 1):
         t0 = time.perf_counter()
         t_n = n * tau
-        r = sys.M @ (weights.partial_sums[n] * U[0] - next(histories))
+        r = sys.M @ (weights.partial_sums[n] * u0 - history.next(u))
         if spec.source is not None:
             r = r + taua * spec.source.load_at(sys, t_n)
         if schedule.exact(n):
-            U[n] = direct.solve(r)
+            u_prev, u = u, direct.solve(r)
             records.append(StepRecord(n, t_n, True, None, time.perf_counter() - t0))
             continue
         m_n = schedule_iters(schedule, n, t_n, tau, spec.alpha)
-        x = 2.0 * U[n - 1] - U[n - 2]
+        x = 2.0 * u - u_prev
         corrections = []
         for m in range(m_n):
             x_next = vcycle(hierarchy, x, r)
@@ -317,11 +315,11 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
             raise NumericsError(
                 f"inner iteration diverged at step {n}: correction grew from "
                 f"{corrections[0]:.3e} to {corrections[-1]:.3e}")
-        U[n] = x
+        u_prev, u = u, x
         records.append(StepRecord(
             n, t_n, False, m_n, time.perf_counter() - t0,
             tuple(corrections)))
-    return Trajectory(U=U, records=tuple(records))
+    return Trajectory(final=u, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------

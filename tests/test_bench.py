@@ -37,6 +37,9 @@ def test_config_validation():
         ExperimentConfig(smoother="sor")
     with pytest.raises(ConfigurationError):
         ExperimentConfig(alphas=(1.2,))
+    for seed in (-1, 1.5):
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentConfig(seed=seed)
     assert ExperimentConfig(K=4, K0=4).K == 4  # one level suffices for a config
 
 
@@ -277,8 +280,35 @@ def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch
                 ["--K", "8", "--smoother", "sor"],
                 ["--K", "8", "--format", "xml"],
                 ["--K", "8", "--config", str(bad_format)],
-                ["--K", "8", "--out", str(tmp_path / "missing" / "t.csv")]):
+                ["--K", "8", "--out", str(tmp_path / "missing" / "t.csv")],
+                ["--K", "8", "--schedule", "theory-nonsmooth:0.1", "--seed", "-1"]):
         assert cli.main(base + bad) == 2
+
+
+def test_cli_rejects_unwritable_out_path(tmp_path, monkeypatch):
+    """--out naming a directory exits 2 before any run; a path that cannot
+    be opened when the table is written exits 2 as well, not with a
+    traceback."""
+    def never(*args):
+        raise AssertionError("a run started before --out was checked")
+
+    monkeypatch.setattr(bench, "run_exact", never)
+    monkeypatch.setattr(bench, "gen_weights", never)
+    for argv in (["weights-dump", "--gamma", "0.5", "--n-max", "4"],
+                 ["example1", "--K", "8", "--N", "5", "--ref-N", "80"]):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        not_a_dir = tmp_path / "file.txt"
+        not_a_dir.write_text("")
+        assert cli.main(argv + ["--out", str(not_a_dir / "t.csv")]) == 2
+    out = tmp_path / "t.csv"
+
+    def made_a_directory(cfg):
+        out.mkdir()
+        return ErrorTable(Ns=cfg.Ns, meta="#")
+
+    monkeypatch.setattr(cli, "run_example1", made_a_directory)
+    assert cli.main(["example1", "--K", "8", "--N", "5", "--ref-N", "80",
+                     "--out", str(out)]) == 2
 
 
 def test_cli_bad_reference_file_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 """Time stepping: right-hand sides, schedules, trajectories, error reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,26 +63,69 @@ def scalar_spec(alpha, N, lam=0.0, beta=None, u0=0.0, T=1.0):
 # ------------------------------------------------------------- history
 
 
+def gemv_oracle_run(spec):
+    """Oracle: U^0..U^N from a plain loop of per-step GEMV histories over the
+    stored trajectory and direct solves, with run_iis's right-hand side."""
+    sys, N, tau = spec.sys, spec.grid.N, spec.grid.tau
+    table = gen_weights(spec.alpha, N)
+    solver = DirectSolver(sys.system_matrix(tau, spec.alpha))
+    L = len(table)
+    U = np.zeros((N + 1, sys.dim))
+    U[0] = spec.initial.vector(sys)
+    for n in range(1, N + 1):
+        hist = table.reversed_weights[L - 1 - n:L - 1] @ U[:n]
+        r = sys.M @ (table.partial_sums[n] * U[0] - hist)
+        if spec.source is not None:
+            r = r + tau ** spec.alpha * spec.source.load_at(sys, n * tau)
+        U[n] = solver.solve(r)
+    return U
+
+
 def test_run_exact_matches_step_rhs_loop_across_lag_blocks():
-    """run_exact's lag-blocked history against a plain loop of per-step GEMV
-    histories and direct solves, at every step of a run spanning three
-    blocks."""
+    """run_exact's streamed history against the GEMV oracle, at the ends of
+    shorter runs with the same step that end around each block boundary of
+    a run spanning three blocks."""
     sys = assemble(build_mesh(8), 5.0)
     N = 2 * HISTORY_BLOCK + 3
-    spec = example_problem(1, sys, 0.5, N)
-    traj = run_exact(spec)
-    table = gen_weights(spec.alpha, N)
-    solver = DirectSolver(sys.system_matrix(spec.grid.tau, spec.alpha))
-    taua = spec.grid.tau ** spec.alpha
-    U = np.zeros((N + 1, sys.dim))
-    for n in range(1, N + 1):
-        hist = table.weights[n:0:-1] @ U[:n]
-        load = spec.source.load_at(sys, n * spec.grid.tau)
-        U[n] = solver.solve(
-            sys.M @ (table.partial_sums[n] * U[0] - hist) + taua * load)
+    U = gemv_oracle_run(example_problem(1, sys, 0.5, N))
     scale = np.abs(U).max()
     assert scale > 0.0
-    assert np.abs(traj.U - U).max() <= 1e-12 * scale
+    for n in (1, HISTORY_BLOCK, HISTORY_BLOCK + 1, 2 * HISTORY_BLOCK,
+              2 * HISTORY_BLOCK + 1, N):
+        final = run_exact(example_problem(1, sys, 0.5, n, T=n / N)).final
+        assert np.abs(final - U[n]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("N", [1, 7, HISTORY_BLOCK])
+def test_runs_within_one_block_are_bitwise_the_gemv_oracle(N):
+    """With N <= HISTORY_BLOCK no lag uses the sum-of-exponentials fit."""
+    for example in (1, 2):
+        spec = example_problem(example, assemble(build_mesh(8), 5.0), 0.3, N)
+        assert np.array_equal(run_exact(spec).final, gemv_oracle_run(spec)[N])
+
+
+def test_run_keeps_no_trajectory():
+    """At K=16, going from N=1280 to N=5120 adds less working memory than one
+    block buffer, and less retained memory (the step records) than one vector
+    per step: nothing of size N x dim is kept."""
+    sys = assemble(build_mesh(16), 5.0)
+
+    def traced(N):
+        spec = example_problem(1, sys, 0.5, N)
+        tracemalloc.start()
+        try:
+            traj = run_exact(spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.records) == N
+        return peak - held, held
+
+    work_a, held_a = traced(1280)
+    work_b, held_b = traced(5120)
+    vector = 8 * sys.dim
+    assert work_b - work_a < (HISTORY_BLOCK + 1) * vector
+    assert held_b - held_a < (5120 - 1280) * vector
 
 
 # ------------------------------------------------------------- schedules
@@ -220,8 +264,10 @@ def test_scalar_nonzero_start_shifts_limit():
 
 
 def test_scalar_relaxation_decays_like_mittag_leffler():
-    traj = run_exact(scalar_spec(0.5, 64, lam=3.0, u0=1.0))
-    vals = traj.U[:, 0]
+    # U^n of the N=64 run is the final value of the n-step run on [0, n/64]
+    finals = [run_exact(scalar_spec(0.5, n, lam=3.0, u0=1.0, T=n / 64)).final[0]
+              for n in range(1, 65)]
+    vals = np.array([1.0] + finals)
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) < 0.0)
     # self-convergence at first order against quadruple resolution
@@ -246,7 +292,8 @@ def test_zero_data_gives_zero_trajectory_for_every_schedule():
                  TheoryNonsmoothData(delta=0.1, params=params)]
     for schedule in schedules:
         traj = run_iis(spec, schedule, h)
-        assert np.all(traj.U == 0.0)
+        assert np.all(traj.final == 0.0)
+        assert all(c == 0.0 for rec in traj.records for c in rec.corrections)
 
 
 def test_iis_with_exact_schedule_is_bitwise_run_exact():
@@ -254,7 +301,9 @@ def test_iis_with_exact_schedule_is_bitwise_run_exact():
     spec = example_problem(1, sys, 0.5, 6)
     a = run_exact(spec)
     b = run_iis(spec, ExactSchedule(), None)
-    assert np.array_equal(a.U, b.U)
+    assert np.array_equal(a.final, b.final)
+    steps = [[(r.n, r.t, r.exact) for r in t.records] for t in (a, b)]
+    assert steps[0] == steps[1]
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +422,7 @@ def test_separable_source_reused_on_another_mesh():
         reused = run_exact(ProblemSpec(alpha=0.5, grid=grid, sys=sys, source=source))
         fresh = run_exact(ProblemSpec(alpha=0.5, grid=grid, sys=sys,
                                       source=SeparableSource(lambda t: t * t, _bump)))
-        assert np.array_equal(reused.U, fresh.U)
+        assert np.array_equal(reused.final, fresh.final)
 
 
 @pytest.mark.parametrize("example", [1, 2])
