@@ -14,7 +14,7 @@ sys = assemble(build_mesh(64), 5.0)
 
 print("=== one V-cycle solve, Gauss-Seidel smoothing ===")
 h = build_hierarchy(sys, tau=1.0 / 320, alpha=0.5, smoother=GaussSeidelForward())
-print("levels:", [lev.K for lev in h.levels])
+print("levels:", [lev.system.mesh.K for lev in h.levels])
 rng = np.random.default_rng(0)
 x_star = rng.standard_normal(sys.dim)
 rhs = h.fine.B @ x_star

@@ -43,6 +43,7 @@ __all__ = [
     "weight_table_csv",
 ]
 
+T = 1.0  # final time of the stock problems and the contraction sweep
 DEFAULT_ROWS_EXAMPLE1 = ("fixed:1", "fixed:2", "fixed:3", "exact")
 DEFAULT_ROWS_EXAMPLE2 = ("log:3,0", "log:3,3", "log:3,6", "exact")
 FORMATS = ("csv", "md")
@@ -56,7 +57,6 @@ class ExperimentConfig:
     Ns: tuple = (10, 20, 40, 80, 160, 320)
     K: int = 64
     c_A: float = 5.0
-    T: float = 1.0
     smoother: str = "gs"
     omega: float = 2.0 / 3.0
     nu1: int = 1
@@ -98,7 +98,7 @@ class ExperimentConfig:
 
     def meta_line(self, command: str) -> str:
         return (f"# subdiff-bench {command} seed={self.seed} K={self.K} "
-                f"cA={self.c_A:.17g} T={self.T:.17g} smoother={self.smoother} "
+                f"cA={self.c_A:.17g} T={T:.17g} smoother={self.smoother} "
                 f"omega={self.omega:.17g} nu1={self.nu1} nu2={self.nu2} "
                 f"startup={self.startup_exact} refN={self.ref_N} K0={self.K0}")
 
@@ -262,7 +262,7 @@ def _reference_final(cfg: ExperimentConfig, sys, example: int, alpha: float) -> 
             raise ConfigurationError(
                 f"reference file needs {sys.dim} finite values, has shape {vec.shape}")
         return vec
-    spec = example_problem(example, sys, alpha, cfg.ref_N, cfg.T)
+    spec = example_problem(example, sys, alpha, cfg.ref_N, T)
     return run_exact(spec).final
 
 
@@ -274,7 +274,7 @@ def _run_example(cfg: ExperimentConfig, example: int, default_rows) -> ErrorTabl
     for alpha in cfg.alphas:
         ref = _reference_final(cfg, sys, example, alpha)
         for N in cfg.Ns:
-            spec = example_problem(example, sys, alpha, N, cfg.T)
+            spec = example_problem(example, sys, alpha, N, T)
             hierarchy = contraction = None
             if any(label != "exact" for label in rows):
                 hierarchy = build_hierarchy(sys, spec.grid.tau, alpha, smoother,
@@ -310,7 +310,7 @@ def run_contraction_sweep(cfg: ExperimentConfig) -> ContractionReport:
     sys = assemble(build_mesh(cfg.K), cfg.c_A)
     for alpha in cfg.alphas:
         for N in cfg.Ns:
-            tau = cfg.T / N
+            tau = T / N
             for smoother in (GaussSeidelForward(), DampedJacobi(omega=cfg.omega)):
                 h = build_hierarchy(sys, tau, alpha, smoother,
                                     cfg.nu1, cfg.nu2, cfg.K0)

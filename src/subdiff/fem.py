@@ -21,7 +21,7 @@ __all__ = [
     "build_mesh",
     "assemble",
     "load_vector",
-    "solve_checked",
+    "Factor",
     "l2_project",
     "ritz_project",
     "l2_norm",
@@ -181,68 +181,63 @@ def _scatter_to_interior(mesh: Mesh2D, Fe: np.ndarray) -> np.ndarray:
     return F
 
 
-def solve_checked(lu, A: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs with ``lu``, a factorization of A, to a residual of
-    at most SOLVE_REL_TOL * |rhs|, taking one refinement step if needed.
+class Factor:
+    """Sparse LU factorization of an SPD matrix A with a checked solve.
 
-    Raises NumericsError for a non-finite right-hand side or a missed
-    tolerance.
+    Every direct solve of an SPD system in the package factors here, so the
+    ordering or the factorization is chosen in this one place.
     """
-    nrhs = np.linalg.norm(rhs)
-    if not np.isfinite(nrhs):
-        raise NumericsError("direct solve got a non-finite right-hand side")
-    if nrhs == 0.0:
-        return np.zeros_like(rhs)
-    x = lu.solve(rhs)
-    # written so that a NaN residual fails the test
-    if not np.linalg.norm(rhs - A @ x) <= SOLVE_REL_TOL * nrhs:
-        x = x + lu.solve(rhs - A @ x)
+
+    def __init__(self, A: sp.spmatrix):
+        self.A = A
+        self.lu = spla.splu(A.tocsc())
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs to a residual of at most SOLVE_REL_TOL * |rhs|,
+        taking one refinement step if needed.
+
+        Raises NumericsError for a non-finite right-hand side or a missed
+        tolerance.
+        """
+        A, lu = self.A, self.lu
+        nrhs = np.linalg.norm(rhs)
+        if not np.isfinite(nrhs):
+            raise NumericsError("direct solve got a non-finite right-hand side")
+        if nrhs == 0.0:
+            return np.zeros_like(rhs)
+        x = lu.solve(rhs)
+        # written so that a NaN residual fails the test
         if not np.linalg.norm(rhs - A @ x) <= SOLVE_REL_TOL * nrhs:
-            raise NumericsError("direct solve failed to reach residual tolerance")
-    return x
+            x = x + lu.solve(rhs - A @ x)
+            if not np.linalg.norm(rhs - A @ x) <= SOLVE_REL_TOL * nrhs:
+                raise NumericsError("direct solve failed to reach residual tolerance")
+        return x
 
 
 def l2_project(sys: FemSystem, g) -> np.ndarray:
     """L2 projection of g onto the interior P1 space: solve M x = F(g)."""
-    return solve_checked(spla.splu(sys.M.tocsc()), sys.M, load_vector(sys.mesh, g))
+    return Factor(sys.M).solve(load_vector(sys.mesh, g))
 
 
-def ritz_project(sys: FemSystem, av=None, grad=None) -> np.ndarray:
-    """Energy projection of v, from either Av or grad v.
+def ritz_project(sys: FemSystem, grad) -> np.ndarray:
+    """Energy projection of v from its gradient: solve S x = c_A (grad v, grad phi).
 
-    Exactly one of ``av`` (the full operator -c_A Lap v applied to v) or
-    ``grad`` must be given; the two right-hand sides agree by integration by
-    parts for v vanishing on the boundary.  ``grad`` is either a callable
-    returning the pair (dv/dx, dv/dy) or an (ntriangles, 2) array of
-    cellwise-constant gradients.
+    ``grad(x, y)`` returns the pair (dv/dx, dv/dy) at equal-shaped point
+    arrays.
     """
-    if (av is None) == (grad is None):
-        raise ConfigurationError("pass exactly one of av= or grad=")
-    if av is not None:
-        G = load_vector(sys.mesh, av)
-    else:
-        mesh = sys.mesh
-        _, b, c, area = mesh._geometry()
-        Ge = np.zeros((len(mesh.triangles), 3))
-        if callable(grad):
-            pts = _quad_points(mesh)
-            for q, w in enumerate(_QUAD_W):
-                gx, gy = grad(pts[q, :, 0], pts[q, :, 1])
-                gx = np.asarray(gx, dtype=float)
-                gy = np.asarray(gy, dtype=float)
-                # area * grad(phi_k) = (b_k, c_k)/2 cancels the rule's area factor
-                Ge += (w / 2.0) * (gx[:, None] * b + gy[:, None] * c)
-        else:
-            gc = np.asarray(grad, dtype=float)
-            if gc.shape != (len(mesh.triangles), 2):
-                raise ValueError(
-                    f"cellwise gradient must have shape ({len(mesh.triangles)}, 2), "
-                    f"got {gc.shape}")
-            Ge = 0.5 * (gc[:, :1] * b + gc[:, 1:] * c)
-        if not np.all(np.isfinite(Ge)):
-            raise NumericsError("gradient data produced non-finite values")
-        G = sys.c_A * _scatter_to_interior(mesh, Ge)
-    return solve_checked(spla.splu(sys.S.tocsc()), sys.S, G)
+    mesh = sys.mesh
+    _, b, c, _ = mesh._geometry()
+    Ge = np.zeros((len(mesh.triangles), 3))
+    pts = _quad_points(mesh)
+    for q, w in enumerate(_QUAD_W):
+        gx, gy = grad(pts[q, :, 0], pts[q, :, 1])
+        gx = np.asarray(gx, dtype=float)
+        gy = np.asarray(gy, dtype=float)
+        # area * grad(phi_k) = (b_k, c_k)/2 cancels the rule's area factor
+        Ge += (w / 2.0) * (gx[:, None] * b + gy[:, None] * c)
+    if not np.all(np.isfinite(Ge)):
+        raise NumericsError("gradient data produced non-finite values")
+    return Factor(sys.S).solve(sys.c_A * _scatter_to_interior(mesh, Ge))
 
 
 def l2_norm(sys: FemSystem, x: np.ndarray) -> float:

@@ -272,7 +272,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
     if not schedule.exact(spec.grid.N):
         if hierarchy is None:
             raise ConfigurationError("iterative schedules need a multigrid hierarchy")
-        if (hierarchy.fine.K != spec.sys.mesh.K
+        if (hierarchy.fine.system.mesh.K != spec.sys.mesh.K
                 or hierarchy.fine.system.c_A != spec.sys.c_A):
             raise ConfigurationError("hierarchy was built for a different system")
         if not (math.isclose(hierarchy.tau, spec.grid.tau, rel_tol=1e-12)

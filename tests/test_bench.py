@@ -1,6 +1,7 @@
 """Benchmark tables, CSV/Markdown emission, and the command-line interface."""
 
 import math
+import pathlib
 import subprocess
 import sys as _sys
 
@@ -174,6 +175,25 @@ def test_rerun_is_byte_identical(tiny_tables):
     cfg = ExperimentConfig(schedules=("fixed:1", "exact"), smoother="gs", **TINY)
     again = emit_table(run_example1(cfg), "csv")
     assert again == emit_table(tiny_tables[0], "csv")
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+K16 = ["--K", "16", "--N", "10", "--N", "20"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("example1_K16.csv", ["example1", *K16, "--N", "40", "--ref-N", "640"]),
+    ("example2_K16.csv", ["example2", *K16, "--N", "40", "--ref-N", "640",
+                          "--schedule", "theory-nonsmooth:0.1",
+                          "--schedule", "log:3,6", "--schedule", "exact"]),
+    ("contraction_K16.csv", ["contraction", *K16]),
+])
+def test_cli_reproduces_golden_tables(name, argv, tmp_path):
+    """The committed tables, byte for byte: any change to a solver's
+    arithmetic that moves an emitted digit shows up here."""
+    out = tmp_path / name
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_example2_runs_with_theory_schedule():

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from subdiff.errors import ConfigurationError, NumericsError
-from subdiff.fem import (assemble, build_mesh, l2_error_vs_function, l2_norm,
+from subdiff.fem import (Factor, assemble, build_mesh, l2_error_vs_function, l2_norm,
                          l2_project, load_vector, ritz_project, _QUAD_BARY,
                          _QUAD_W)
 from subdiff.multigrid import build_hierarchy
@@ -156,6 +158,8 @@ def test_load_rejects_non_finite():
     mesh = build_mesh(4)
     with pytest.raises(NumericsError):
         load_vector(mesh, lambda x, y: np.where(x > 0, np.inf, 1.0))
+    with pytest.raises(NumericsError):
+        ritz_project(assemble(mesh, 1.0), lambda x, y: (np.where(x > 0, np.nan, 1.0), y))
 
 
 # ---------------------------------------------------------------- projections
@@ -202,7 +206,7 @@ def test_l2_projection_stability_indicator_data():
 
 def test_ritz_project_zero():
     sys = assemble(build_mesh(4), 1.0)
-    out = ritz_project(sys, av=lambda x, y: np.zeros_like(x))
+    out = ritz_project(sys, lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
     assert np.all(out == 0.0)
 
 
@@ -217,18 +221,19 @@ def test_ritz_project_reproduces_mesh_function():
         on = mesh.triangles[:, local] == node
         grad_cells[on, 0] = b[on, local] / (2.0 * area[on])
         grad_cells[on, 1] = c[on, local] / (2.0 * area[on])
-    proj = ritz_project(sys, grad=grad_cells)
+
+    def grad(x, y):
+        # triangle of each point: its cell, then below (even) or above (odd)
+        # the cell's diagonal; quadrature points lie inside their triangle
+        sx, sy = (x + 1.0) / mesh.h, (y + 1.0) / mesh.h
+        ix, iy = np.floor(sx).astype(int), np.floor(sy).astype(int)
+        tri = 2 * (iy * mesh.K + ix) + (sy - iy > sx - ix)
+        return grad_cells[tri, 0], grad_cells[tri, 1]
+
+    proj = ritz_project(sys, grad)
     expected = np.zeros(sys.dim)
     expected[mesh.interior_of_full[node]] = 1.0
     np.testing.assert_allclose(proj, expected, atol=1e-12)
-
-
-def test_ritz_project_requires_exactly_one_input():
-    sys = assemble(build_mesh(4), 1.0)
-    with pytest.raises(ConfigurationError):
-        ritz_project(sys)
-    with pytest.raises(ConfigurationError):
-        ritz_project(sys, av=lambda x, y: x, grad=lambda x, y: (x, y))
 
 
 @pytest.mark.parametrize("c_A", [1.0, 5.0])
@@ -238,10 +243,42 @@ def test_energy_projection_identity(K, c_A):
     sys = assemble(build_mesh(K), c_A)
     grad = lambda x, y: (-2.0 * x * (1.0 - y * y), -2.0 * y * (1.0 - x * x))
     av = lambda x, y: c_A * (2.0 * (1.0 - y * y) + 2.0 * (1.0 - x * x))
-    R = ritz_project(sys, grad=grad)
+    R = ritz_project(sys, grad)
     lhs = sys.S @ R
     rhs = load_vector(sys.mesh, av)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+# ---------------------------------------------------------------- factor
+
+
+class _CountingLU:
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("eps, refined", [(1e-9, True), (1e-3, False)])
+def test_factor_refines_once_then_raises(eps, refined):
+    """With the factor of A + eps I in place of A's, a small eps misses the
+    tolerance at first and one refinement step rescues it; a large eps
+    still misses it after that step."""
+    sys = assemble(build_mesh(8), 1.0)
+    A = sys.system_matrix(0.1, 0.5)
+    rhs = np.random.default_rng(7).standard_normal(sys.dim)
+    factor = Factor(A)
+    factor.lu = _CountingLU(spla.splu((A + eps * sp.identity(sys.dim)).tocsc()))
+    if refined:
+        x = factor.solve(rhs)
+        assert np.linalg.norm(rhs - A @ x) <= 1e-12 * np.linalg.norm(rhs)
+    else:
+        with pytest.raises(NumericsError, match="residual tolerance"):
+            factor.solve(rhs)
+    assert factor.lu.solves == 2
 
 
 # ---------------------------------------------------------------- norms
@@ -282,7 +319,6 @@ def test_steady_solve_second_order_in_h():
     for K in (8, 16, 32):
         sys = assemble(build_mesh(K), 1.0)
         F = load_vector(sys.mesh, rhs)
-        import scipy.sparse.linalg as spla
         u = spla.splu(sys.S.tocsc()).solve(F)
         errors.append(l2_error_vs_function(sys, u, exact))
     for e0, e1 in zip(errors, errors[1:]):

@@ -47,7 +47,7 @@ def test_level_count():
     sys = assemble(build_mesh(8), 1.0)
     h = build_hierarchy(sys, 0.1, 0.5, GaussSeidelForward(), K0=2)
     assert h.n_levels == 3
-    assert [lev.K for lev in h.levels] == [2, 4, 8]
+    assert [lev.system.mesh.K for lev in h.levels] == [2, 4, 8]
 
 
 def test_incompatible_K_rejected():
