@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import (Factor, assemble, build_mesh, l2_error_vs_function, l2_norm,
@@ -279,6 +281,32 @@ def test_factor_refines_once_then_raises(eps, refined):
         with pytest.raises(NumericsError, match="residual tolerance"):
             factor.solve(rhs)
     assert factor.lu.solves == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(K=st.sampled_from([4, 8, 16, 32]), tau=st.floats(1e-4, 1.0),
+       alpha=st.floats(0.05, 0.95))
+def test_factor_matches_sparse_lu(K, tau, alpha):
+    """The banded factor of B, M and S has bandwidth K and solves as the
+    sparse LU it replaced does."""
+    sys = assemble(build_mesh(K), 5.0)
+    rhs = np.random.default_rng(K).standard_normal(sys.dim)
+    for A in (sys.system_matrix(tau, alpha), sys.M, sys.S):
+        factor = Factor(A)
+        assert factor.lu.cb.shape == (K + 1, sys.dim)  # bandwidth K
+        x = factor.solve(rhs)
+        ref = spla.splu(A.tocsc()).solve(rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_factor_rejects_indefinite_and_non_finite():
+    B = assemble(build_mesh(8), 1.0).system_matrix(0.1, 0.5)
+    with pytest.raises(NumericsError, match="not positive definite"):
+        Factor(-B)
+    bad = B.copy()
+    bad.data[len(bad.data) // 2] = np.nan
+    with pytest.raises(NumericsError, match="non-finite"):
+        Factor(bad)
 
 
 # ---------------------------------------------------------------- norms

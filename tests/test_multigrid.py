@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import subdiff.multigrid as multigrid
 from subdiff.errors import ConfigurationError, NumericsError
-from subdiff.fem import FemSystem, assemble, build_mesh
+from subdiff.fem import Factor, FemSystem, assemble, build_mesh
 from subdiff.multigrid import (DampedJacobi, DirectSolver, GaussSeidelForward,
                                GridLevel, build_hierarchy, estimate_contraction,
                                prolongation_matrix, smooth, vcycle)
@@ -69,6 +69,19 @@ def test_galerkin_coarse_operator_identity(sys16, tau, alpha):
         coarse_B = h.levels[i].B
         dev = abs((P.T @ fine_B @ P) - coarse_B).max()
         assert dev <= 1e-12 * abs(coarse_B).max()
+
+
+def test_cached_restriction_and_raw_coarse_solve(sys16):
+    """The stored restrictions act as P' bit for bit, and the unchecked
+    coarse solve agrees with the checked one."""
+    h = build_hierarchy(sys16, 0.01, 0.5, K0=4)
+    rng = np.random.default_rng(5)
+    for P, R in zip(h.prolongations, h.restrictions):
+        r = rng.standard_normal(P.shape[0])
+        assert np.array_equal(R @ r, P.T @ r)
+    rhs = rng.standard_normal(h.levels[0].B.shape[0])
+    checked = Factor(h.levels[0].B).solve(rhs)
+    np.testing.assert_allclose(h.coarse_lu.solve(rhs), checked, rtol=1e-13)
 
 
 def test_prolongation_reproduces_coarse_hat():
