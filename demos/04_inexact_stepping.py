@@ -7,7 +7,7 @@ three recover clean first-order convergence at a fraction of the cost.
 
 import numpy as np
 
-from subdiff import (FixedIterations, GaussSeidelForward, assemble,
+from subdiff import (GaussSeidelForward, LogSchedule, assemble,
                      build_hierarchy, build_mesh, error_report, run_exact, run_iis)
 from subdiff.bench import example_problem
 
@@ -27,8 +27,8 @@ for label, m in (("m=1", 1), ("m=2", 2), ("m=3", 3), ("exact", None)):
             traj = run_exact(spec)
         else:
             h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
-            traj = run_iis(spec, FixedIterations(m=m), h)
-        errs.append(error_report(traj, ref, sys).final)
+            traj = run_iis(spec, LogSchedule(a=m), h)
+        errs.append(error_report(traj, ref, sys))
     rows[label] = errs
 
 header = "  ".join(f"N={N:<8d}" for N in Ns)
@@ -44,7 +44,7 @@ N = Ns[-1]
 spec = example_problem(1, sys, alpha, N)
 h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
 for label, traj in (("exact", run_exact(spec)),
-                    ("m=2", run_iis(spec, FixedIterations(m=2), h))):
+                    ("m=2", run_iis(spec, LogSchedule(a=2), h))):
     steps = [rec.wall_time for rec in traj.records if rec.n > 2]
     print(f"{label:>6}: mean {1e3 * np.mean(steps):.3f} ms/step over {len(steps)} steps")
 print("\nAt this desk scale the amortized factorization backsolve is cheap;")

@@ -25,7 +25,7 @@ for a, b in ((1, 0), (3, 6)):
         spec = example_problem(2, sys, alpha, N)
         h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
         traj = run_iis(spec, LogSchedule(a=a, b=b), h)
-        errs.append(error_report(traj, ref, sys).final)
+        errs.append(error_report(traj, ref, sys))
     rates = ", ".join(f"{np.log2(x / y):.2f}" for x, y in zip(errs, errs[1:]))
     print(f"a={a} b={b}: errors {['%.2e' % e for e in errs]}, observed orders [{rates}]")
 
@@ -40,5 +40,5 @@ counts = [(rec.n, rec.label) for rec in traj.records]
 print("per-step iteration counts (step, M_n):")
 print("  early:", counts[:8])
 print("  late: ", counts[-4:])
-err = error_report(traj, ref, sys).final
+err = error_report(traj, ref, sys)
 print(f"final relative error at N={N}: {err:.3e}")

@@ -13,10 +13,9 @@ from .fem import (FemSystem, Mesh2D, assemble, build_mesh, l2_norm, l2_project,
 from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
                         MgHierarchy, build_hierarchy, estimate_contraction,
                         smooth, vcycle)
-from .stepping import (ErrorReport, ExactSchedule, FixedIterations,
-                       L2Projected, LogSchedule, ProblemSpec, SeparableSource,
-                       TheoryNonsmoothData, TheorySmoothData, Trajectory,
-                       ZeroInit, error_report, run_exact, run_iis,
+from .stepping import (ExactSchedule, L2Projected, LogSchedule, ProblemSpec,
+                       SeparableSource, TheoryNonsmoothData, TheorySmoothData,
+                       Trajectory, ZeroInit, error_report, run_exact, run_iis,
                        schedule_iters)
 
 __version__ = "0.1.0"
@@ -30,8 +29,8 @@ __all__ = [
     "build_hierarchy", "vcycle", "smooth", "estimate_contraction",
     "ProblemSpec", "ZeroInit", "L2Projected",
     "SeparableSource",
-    "ExactSchedule", "FixedIterations", "LogSchedule",
+    "ExactSchedule", "LogSchedule",
     "TheorySmoothData", "TheoryNonsmoothData",
-    "Trajectory", "ErrorReport", "schedule_iters",
+    "Trajectory", "schedule_iters",
     "run_exact", "run_iis", "error_report",
 ]

@@ -25,10 +25,10 @@ from .fem import assemble, build_mesh
 from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
                         build_hierarchy, check_cycle, estimate_contraction,
                         level_sizes)
-from .stepping import (ExactSchedule, FixedIterations, L2Projected,
-                       LogSchedule, ProblemSpec, Schedule, SeparableSource,
-                       TheoryNonsmoothData, TheorySmoothData, ZeroInit,
-                       error_report, run_exact, run_iis)
+from .stepping import (ExactSchedule, L2Projected, LogSchedule, ProblemSpec,
+                       Schedule, SeparableSource, TheoryNonsmoothData,
+                       TheorySmoothData, ZeroInit, error_report, run_exact,
+                       run_iis)
 
 __all__ = [
     "ExperimentConfig",
@@ -74,8 +74,12 @@ class ExperimentConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigurationError(f"alpha must lie in (0, 1), got {a}")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ConfigurationError(f"alphas must be distinct, got {self.alphas}")
         if not self.Ns:
             raise ConfigurationError("need at least one N")
+        for N in self.Ns:
+            TimeGrid(T, N)
         if any(b <= a for a, b in zip(self.Ns, self.Ns[1:])):
             raise ConfigurationError(f"N list must be strictly increasing, got {self.Ns}")
         if self.smoother not in ("gs", "jacobi"):
@@ -95,6 +99,9 @@ class ExperimentConfig:
         stand_in = ContractionParams(c0=1.0, kappa=0.5)
         for text in self.schedules or ("exact",):
             parse_schedule(text, self.startup_exact, stand_in)
+        rows = [text.strip() for text in self.schedules]
+        if len(set(rows)) != len(rows):
+            raise ConfigurationError(f"schedule rows must be distinct, got {self.schedules}")
 
     def meta_line(self, command: str) -> str:
         return (f"# subdiff-bench {command} seed={self.seed} K={self.K} "
@@ -117,7 +124,7 @@ def parse_schedule(text: str, startup: int,
         if text == "exact":
             return ExactSchedule(exact_startup_steps=startup)
         if kind == "fixed":
-            return FixedIterations(m=int(arg), exact_startup_steps=startup)
+            return LogSchedule(a=int(arg), exact_startup_steps=startup)
         if kind == "log":
             a, b = arg.split(",")
             return LogSchedule(a=int(a), b=int(b), exact_startup_steps=startup)
@@ -285,7 +292,7 @@ def _run_example(cfg: ExperimentConfig, example: int, default_rows) -> ErrorTabl
                 schedule = parse_schedule(label, cfg.startup_exact, contraction)
                 t0 = time.perf_counter()
                 traj = run_iis(spec, schedule, hierarchy)
-                err = error_report(traj, ref, sys).final
+                err = error_report(traj, ref, sys)
                 table.put(alpha, label, N, err, time.perf_counter() - t0)
     return table
 

@@ -73,21 +73,15 @@ class WeightTable:
 
     gamma: float
     weights: np.ndarray
-    partial_sums: np.ndarray = field(repr=False, default=None)
-    reversed_weights: np.ndarray = field(repr=False, default=None)
+    partial_sums: np.ndarray = field(init=False, repr=False)
+    reversed_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        if self.partial_sums is None:
-            ps = np.cumsum(w)
-            ps.setflags(write=False)
-            object.__setattr__(self, "partial_sums", ps)
-        if self.reversed_weights is None:
-            rw = w[::-1].copy()
-            rw.setflags(write=False)
-            object.__setattr__(self, "reversed_weights", rw)
+        for name, arr in (("weights", w), ("partial_sums", np.cumsum(w)),
+                          ("reversed_weights", w[::-1].copy())):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.weights)

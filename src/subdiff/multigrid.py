@@ -160,9 +160,12 @@ def level_sizes(K: int, K0: int) -> list:
 
 
 def check_cycle(nu1: int, nu2: int, K0: int) -> None:
-    """Raise unless nu1, nu2 >= 0 with nu1 + nu2 >= 1 and K0 is even, >= 2."""
-    if nu1 < 0 or nu2 < 0 or nu1 + nu2 < 1:
-        raise ConfigurationError(f"need nu1, nu2 >= 0 with nu1+nu2 >= 1, got {nu1}, {nu2}")
+    """Raise unless nu1, nu2 are integers >= 0 with nu1 + nu2 >= 1 and K0 is
+    an even integer >= 2."""
+    ok = all(isinstance(v, (int, np.integer)) and v >= 0 for v in (nu1, nu2))
+    if not ok or nu1 + nu2 < 1:
+        raise ConfigurationError(
+            f"need integers nu1, nu2 >= 0 with nu1+nu2 >= 1, got {nu1}, {nu2}")
     if not (isinstance(K0, (int, np.integer)) and K0 >= 2 and K0 % 2 == 0):
         raise ConfigurationError(f"coarsest K0 must be an even integer >= 2, got {K0}")
 
@@ -201,8 +204,8 @@ def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
     # 13 us against 1 us raw, about 0.17 s over the 13533 cycles of the
     # K=64 example2 table (2-core Xeon, one BLAS thread)
     coarse_lu = Factor(levels[0].B).lu
-    return MgHierarchy(levels, prolongations, coarse_lu, smoother, int(nu1),
-                       int(nu2), float(tau), float(alpha))
+    return MgHierarchy(levels, prolongations, coarse_lu, smoother, nu1, nu2,
+                       float(tau), float(alpha))
 
 
 def smooth(level: GridLevel, x: np.ndarray, rhs: np.ndarray,

@@ -34,13 +34,11 @@ __all__ = [
     "ProblemSpec",
     "Schedule",
     "ExactSchedule",
-    "FixedIterations",
     "LogSchedule",
     "TheorySmoothData",
     "TheoryNonsmoothData",
     "StepRecord",
     "Trajectory",
-    "ErrorReport",
     "schedule_iters",
     "run_exact",
     "run_iis",
@@ -134,29 +132,16 @@ class ExactSchedule(Schedule):
 
 
 @dataclass(frozen=True)
-class FixedIterations(Schedule):
-    """The same number of V-cycles at every step."""
-
-    m: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ConfigurationError(f"iteration count must be >= 1, got {self.m}")
-
-    def iters(self, t_n: float, tau: float, alpha: float) -> int:
-        return self.m
-
-
-@dataclass(frozen=True)
 class LogSchedule(Schedule):
     """M_n = a + b * log2(1/t_n), rounded up, at least 1.
 
     More iterations at early times; the log factor is inert once t_n >= 1.
+    With the default b = 0 it is the fixed rule, a V-cycles at every step
+    (the ``fixed:m`` rows).
     """
 
     a: int
-    b: int
+    b: int = 0
 
     def __post_init__(self):
         super().__post_init__()
@@ -284,8 +269,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
     sys = spec.sys
     weights = gen_weights(spec.alpha, N)
 
-    B = sys.system_matrix(tau, spec.alpha)
-    direct = DirectSolver(B)
+    direct = DirectSolver(sys.system_matrix(tau, spec.alpha))
 
     u0 = spec.initial.vector(sys)
     u = u_prev = u0  # U^{n-1} and U^{n-2}
@@ -299,6 +283,8 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
             r = r + taua * spec.source.load_at(sys, t_n)
         if schedule.exact(n):
             u_prev, u = u, direct.solve(r)
+            if not schedule.exact(n + 1):
+                direct = None  # no later step needs the factor; free it
             records.append(StepRecord(n, t_n, True, None, time.perf_counter() - t0))
             continue
         m_n = schedule_iters(schedule, n, t_n, tau, spec.alpha)
@@ -325,14 +311,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
 # ---------------------------------------------------------------------------
 # error reporting
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Relative L2 error against a reference at the final time."""
-
-    final: float
-
-
-def error_report(traj: Trajectory, reference, sys: FemSystem) -> ErrorReport:
+def error_report(traj: Trajectory, reference, sys: FemSystem) -> float:
     """Relative L2 error of a trajectory's final vector against a nodal
     reference vector at the final time."""
     ref_final = np.asarray(reference, dtype=float)
@@ -342,4 +321,4 @@ def error_report(traj: Trajectory, reference, sys: FemSystem) -> ErrorReport:
     denom = l2_norm(sys, ref_final)
     if denom == 0.0:
         raise ValueError("reference has zero norm; relative error is undefined")
-    return ErrorReport(final=l2_norm(sys, traj.final - ref_final) / denom)
+    return l2_norm(sys, traj.final - ref_final) / denom

@@ -21,9 +21,8 @@ from subdiff.cq import gen_weights, rl_integral_oracle
 from subdiff.fem import assemble, build_mesh, load_vector, ritz_project
 from subdiff.multigrid import (DampedJacobi, GaussSeidelForward,
                                build_hierarchy, estimate_contraction)
-from subdiff.stepping import (FixedIterations, LogSchedule, ProblemSpec,
-                              TheoryNonsmoothData, error_report, run_exact,
-                              run_iis)
+from subdiff.stepping import (LogSchedule, ProblemSpec, TheoryNonsmoothData,
+                              error_report, run_exact, run_iis)
 from test_stepping import scalar_spec
 
 FULL_NS = (10, 20, 40, 80, 160, 320)
@@ -151,7 +150,7 @@ def test_c07_direct_solver_rates(system_store, reference_store):
     for alpha in (0.2, 0.5, 0.8):
         ref = reference_store(1, alpha, 64)
         errs = [error_report(run_exact(example_problem(1, sys, alpha, N)),
-                             ref, sys).final
+                             ref, sys)
                 for N in (40, 80, 160, 320)]
         for N, rate in zip((80, 160, 320), rates_from(errs)):
             crit.check(0.9 <= rate <= 1.1, f"alpha={alpha} N={N}: rate {rate:.3f}")
@@ -167,7 +166,7 @@ def test_c08_paper_scale_error_band(system_store, reference_store):
     for N in (160, 320):
         spec = example_problem(1, sys, 0.5, N)
         h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
-        errs[N] = error_report(run_iis(spec, FixedIterations(m=2), h), ref, sys).final
+        errs[N] = error_report(run_iis(spec, LogSchedule(a=2), h), ref, sys)
     rate = math.log2(errs[160] / errs[320])
     crit.check(abs(errs[320] - expected) <= 0.1 * expected,
                f"e320 {errs[320]:.3e} not within 10% of {expected:.2e}")
@@ -187,8 +186,8 @@ def test_c09_instability_signature(system_store, reference_store):
             for N in FULL_NS:
                 spec = example_problem(1, sys, alpha, N)
                 h = build_hierarchy(sys, spec.grid.tau, alpha, DampedJacobi())
-                traj = run_iis(spec, FixedIterations(m=m), h)
-                errs.append(error_report(traj, ref, sys).final)
+                traj = run_iis(spec, LogSchedule(a=m), h)
+                errs.append(error_report(traj, ref, sys))
             errors[m] = errs
         if any(r < 0.6 or r > 1.4 for r in rates_from(errors[1])):
             any_unstable = True
@@ -211,7 +210,7 @@ def test_c10_nonsmooth_schedules(system_store, reference_store):
             spec = example_problem(2, sys, alpha, N)
             h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
             traj = run_iis(spec, LogSchedule(a=1, b=0), h)
-            errs.append(error_report(traj, ref, sys).final)
+            errs.append(error_report(traj, ref, sys))
         for N, rate in zip(FULL_NS[2:], rates_from(errs)[1:]):
             crit.check(0.9 <= rate <= 1.1,
                        f"(a) alpha={alpha} N={N}: rate {rate:.3f}")
@@ -226,7 +225,7 @@ def test_c10_nonsmooth_schedules(system_store, reference_store):
             spec = example_problem(2, sys, alpha, N)
             h = build_hierarchy(sys, spec.grid.tau, alpha, DampedJacobi(omega=1.0))
             traj = run_iis(spec, LogSchedule(a=3, b=b), h)
-            errs.append(error_report(traj, ref, sys).final)
+            errs.append(error_report(traj, ref, sys))
         rate_sets[b] = rates_from(errs)
     crit.check(any(r <= 0.6 for r in rate_sets[0]),
                f"(b) no fixed-budget rate <= 0.6 (min {min(rate_sets[0]):.2f}); "
@@ -251,7 +250,7 @@ def test_c10_supplement_paper_scale(system_store, reference_store):
             spec = example_problem(2, sys, alpha, N)
             h = build_hierarchy(sys, spec.grid.tau, alpha, DampedJacobi(omega=1.0))
             traj = run_iis(spec, LogSchedule(a=3, b=b), h)
-            errs.append(error_report(traj, ref, sys).final)
+            errs.append(error_report(traj, ref, sys))
         rate_sets[b] = rates_from(errs)
     crit.check(any(r <= 0.6 for r in rate_sets[0]),
                f"no fixed-budget rate <= 0.6 (min {min(rate_sets[0]):.2f})")
@@ -273,7 +272,7 @@ def test_c11_theory_schedule(system_store, reference_store):
             params = estimate_contraction(h, seed=0)
             schedule = TheoryNonsmoothData(delta=0.1, params=params)
             traj = run_iis(spec, schedule, h)
-            errs.append(error_report(traj, ref, sys).final)
+            errs.append(error_report(traj, ref, sys))
             counts = [rec.iterations for rec in traj.records if not rec.exact]
             crit.check(all(a >= b for a, b in zip(counts, counts[1:])),
                        f"alpha={alpha} N={N}: iteration counts not non-increasing")

@@ -17,8 +17,8 @@ from subdiff.bench import (ContractionReport, ErrorTable, ExperimentConfig,
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import assemble, build_mesh
 from subdiff.multigrid import ContractionParams
-from subdiff.stepping import (ExactSchedule, FixedIterations, LogSchedule,
-                              TheoryNonsmoothData, TheorySmoothData)
+from subdiff.stepping import (ExactSchedule, LogSchedule, TheoryNonsmoothData,
+                              TheorySmoothData)
 
 
 TINY = dict(alphas=(0.5,), Ns=(5, 10), K=8, ref_N=160)
@@ -38,6 +38,10 @@ def test_config_validation():
         ExperimentConfig(smoother="sor")
     with pytest.raises(ConfigurationError):
         ExperimentConfig(alphas=(1.2,))
+    for bad in (dict(Ns=(0, 10)), dict(Ns=(-5, 10)), dict(alphas=(0.5, 0.5)),
+                dict(schedules=("fixed:1", " fixed:1"))):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**bad)
     for seed in (-1, 1.5):
         with pytest.raises(ConfigurationError, match="seed"):
             ExperimentConfig(seed=seed)
@@ -47,7 +51,7 @@ def test_config_validation():
 def test_parse_schedule_forms():
     params = ContractionParams(c0=1.5, kappa=0.3)
     assert parse_schedule("exact", 2) == ExactSchedule(exact_startup_steps=2)
-    assert parse_schedule(" fixed:4 ", 3) == FixedIterations(m=4, exact_startup_steps=3)
+    assert parse_schedule(" fixed:4 ", 3) == LogSchedule(a=4, exact_startup_steps=3)
     assert parse_schedule("log:3,6", 2) == LogSchedule(a=3, b=6)
     assert parse_schedule("theory-smooth:0.1", 2, params) == TheorySmoothData(
         delta=0.1, params=params)
@@ -297,12 +301,24 @@ def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch
                 ["--K", "8", "--startup-exact", "0"],
                 ["--K", "8", "--schedule", "exact", "--schedule", "fixed:0"],
                 ["--K", "8", "--schedule", "theory-smooth:1.5"],
+                ["--K", "8", "--alpha", "0.5", "--alpha", "0.5"],
+                ["--K", "8", "--schedule", "fixed:1", "--schedule", " fixed:1"],
                 ["--K", "8", "--smoother", "sor"],
                 ["--K", "8", "--format", "xml"],
                 ["--K", "8", "--config", str(bad_format)],
                 ["--K", "8", "--out", str(tmp_path / "missing" / "t.csv")],
                 ["--K", "8", "--schedule", "theory-nonsmooth:0.1", "--seed", "-1"]):
         assert cli.main(base + bad) == 2
+
+
+def test_cli_rejects_step_count_below_one_before_any_run(monkeypatch):
+    def never(spec):
+        raise AssertionError("reference run started before the settings were checked")
+
+    monkeypatch.setattr(bench, "run_exact", never)
+    for first in ("0", "-5"):
+        assert cli.main(["example1", "--K", "8", "--ref-N", "160",
+                         "--N", first, "--N", "10"]) == 2
 
 
 def test_cli_rejects_unwritable_out_path(tmp_path, monkeypatch):

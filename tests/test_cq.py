@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import binom
 
-from subdiff.cq import (HISTORY_BLOCK, History, TimeGrid, frac_apply,
-                        gen_weights, rl_integral_oracle, soe_fit)
+from subdiff.cq import (HISTORY_BLOCK, History, TimeGrid, WeightTable,
+                        frac_apply, gen_weights, rl_integral_oracle, soe_fit)
 from subdiff.errors import ConfigurationError
 
 
@@ -250,6 +250,17 @@ def test_frac_apply_validation():
         frac_apply(table, -0.1, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         frac_apply(table, 0.1, np.zeros((2, 2, 2)))
+
+
+def test_weight_table_derives_its_sums():
+    w = gen_weights(0.5, 6).weights
+    table = WeightTable(0.5, w)
+    np.testing.assert_array_equal(table.partial_sums, np.cumsum(w))
+    np.testing.assert_array_equal(table.reversed_weights, w[::-1])
+    for arr in (table.weights, table.partial_sums, table.reversed_weights):
+        assert not arr.flags.writeable
+    with pytest.raises(TypeError):
+        WeightTable(0.5, w, partial_sums=np.zeros(7))
 
 
 def test_gen_weights_validation():

@@ -59,6 +59,13 @@ def test_incompatible_K_rejected():
         build_hierarchy(sys4, 0.1, 0.5, GaussSeidelForward(), K0=4)  # L = 0
 
 
+def test_fractional_sweep_counts_rejected():
+    sys = assemble(build_mesh(8), 1.0)
+    for nu1, nu2 in ((1.5, 1), (1, 0.5), (1.7, 0.5)):
+        with pytest.raises(ConfigurationError):
+            build_hierarchy(sys, 0.1, 0.5, GaussSeidelForward(), nu1=nu1, nu2=nu2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(tau=st.floats(1e-4, 1.0), alpha=st.floats(0.05, 0.95))
 def test_galerkin_coarse_operator_identity(sys16, tau, alpha):

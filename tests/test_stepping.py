@@ -17,8 +17,8 @@ from subdiff.fem import FemSystem, assemble, build_mesh, l2_norm
 from subdiff.multigrid import (ContractionParams, DirectSolver,
                                GaussSeidelForward, build_hierarchy,
                                estimate_contraction)
-from subdiff.stepping import (ExactSchedule, FixedIterations, LogSchedule,
-                              ProblemSpec, SeparableSource, TheoryNonsmoothData,
+from subdiff.stepping import (ExactSchedule, LogSchedule, ProblemSpec,
+                              SeparableSource, TheoryNonsmoothData,
                               TheorySmoothData, ZeroInit, error_report,
                               run_exact, run_iis, schedule_iters)
 
@@ -133,9 +133,9 @@ def test_run_keeps_no_trajectory():
 
 def test_schedule_validation():
     with pytest.raises(ConfigurationError):
-        FixedIterations(m=0)
+        LogSchedule(a=0)
     with pytest.raises(ConfigurationError):
-        FixedIterations(m=2, exact_startup_steps=0)
+        LogSchedule(a=2, exact_startup_steps=0)
     with pytest.raises(ConfigurationError):
         LogSchedule(a=0, b=0)
     with pytest.raises(ConfigurationError):
@@ -152,7 +152,7 @@ def test_schedule_validation():
 
 
 def test_schedule_iters_fixed_and_log():
-    fixed = FixedIterations(m=3)
+    fixed = LogSchedule(a=3)
     assert schedule_iters(fixed, 5, 0.5, 0.1, 0.5) == 3
     log = LogSchedule(a=3, b=6)
     assert schedule_iters(log, 10, 1.0, 0.1, 0.5) == 3
@@ -198,7 +198,7 @@ def test_schedule_iters_clamped_at_limit(caplog):
 _params = st.builds(ContractionParams, c0=st.floats(1.0, 50.0),
                     kappa=st.floats(0.01, 0.99))
 _schedules = st.one_of(
-    st.builds(FixedIterations, m=st.integers(1, 400)),
+    st.builds(LogSchedule, a=st.integers(1, 400)),
     st.builds(LogSchedule, a=st.integers(1, 50), b=st.integers(0, 400)),
     st.builds(TheorySmoothData, delta=st.floats(0.01, 0.99), params=_params),
     st.builds(TheoryNonsmoothData, delta=st.floats(0.01, 0.99), params=_params),
@@ -288,7 +288,7 @@ def test_zero_data_gives_zero_trajectory_for_every_schedule():
     spec = ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=8), sys=sys)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
     params = ContractionParams(c0=1.2, kappa=0.3)
-    schedules = [ExactSchedule(), FixedIterations(m=2), LogSchedule(a=1, b=1),
+    schedules = [ExactSchedule(), LogSchedule(a=2), LogSchedule(a=1, b=1),
                  TheoryNonsmoothData(delta=0.1, params=params)]
     for schedule in schedules:
         traj = run_iis(spec, schedule, h)
@@ -319,7 +319,7 @@ def test_many_inner_iterations_match_direct_solves(sys16, N, alpha):
     spec = example_problem(1, sys, alpha, N)
     h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
     exact = run_exact(spec)
-    iis = run_iis(spec, FixedIterations(m=30), h)
+    iis = run_iis(spec, LogSchedule(a=30), h)
     rel = l2_norm(sys, iis.final - exact.final) / l2_norm(sys, exact.final)
     assert rel <= 1e-8
 
@@ -328,7 +328,7 @@ def test_startup_steps_marked_exact():
     sys = assemble(build_mesh(8), 5.0)
     spec = example_problem(2, sys, 0.5, 8)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
-    traj = run_iis(spec, FixedIterations(m=2, exact_startup_steps=3), h)
+    traj = run_iis(spec, LogSchedule(a=2, exact_startup_steps=3), h)
     labels = [rec.label for rec in traj.records]
     assert labels[:3] == ["exact", "exact", "exact"]
     assert labels[3:] == ["2"] * 5
@@ -340,7 +340,7 @@ def test_inner_corrections_contract_at_measured_rate():
     spec = example_problem(2, sys, 0.5, 12)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
     kappa_hat = estimate_contraction(h, seed=0).kappa
-    traj = run_iis(spec, FixedIterations(m=5), h)
+    traj = run_iis(spec, LogSchedule(a=5), h)
     for rec in traj.records:
         if rec.exact:
             continue
@@ -354,21 +354,21 @@ def test_run_iis_validates_hierarchy():
     sys = assemble(build_mesh(8), 5.0)
     spec = example_problem(1, sys, 0.5, 8)
     with pytest.raises(ConfigurationError):
-        run_iis(spec, FixedIterations(m=1), None)
+        run_iis(spec, LogSchedule(a=1), None)
     wrong_tau = build_hierarchy(sys, 0.5, 0.5, GaussSeidelForward())
     with pytest.raises(ConfigurationError):
-        run_iis(spec, FixedIterations(m=1), wrong_tau)
+        run_iis(spec, LogSchedule(a=1), wrong_tau)
 
 
 def test_zero_iteration_schedule_rejected():
-    class StarvedSchedule(FixedIterations):
-        pass
+    class StarvedSchedule(LogSchedule):
+        def iters(self, t_n, tau, alpha):
+            return 0
 
     sys = assemble(build_mesh(8), 5.0)
     spec = example_problem(1, sys, 0.5, 8)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
-    starved = StarvedSchedule(m=1)
-    object.__setattr__(starved, "m", 0)  # bypass construction-time validation
+    starved = StarvedSchedule(a=1)
     with pytest.raises(ConfigurationError):
         run_iis(spec, starved, h)
 
@@ -383,7 +383,7 @@ def test_divergent_inner_iteration_raises(monkeypatch):
 
     monkeypatch.setattr(stepping, "vcycle", blowup)
     with pytest.raises(NumericsError):
-        run_iis(spec, FixedIterations(m=6), h)
+        run_iis(spec, LogSchedule(a=6), h)
 
 
 def _nan_after_half(t):
@@ -411,7 +411,7 @@ def test_non_finite_source_fails_loudly(kind, runner):
             run_exact(spec)
         else:
             h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
-            run_iis(spec, FixedIterations(m=2), h)
+            run_iis(spec, LogSchedule(a=2), h)
 
 
 def test_separable_source_reused_on_another_mesh():
@@ -434,7 +434,7 @@ def test_self_convergence_first_order(example, alpha):
     for N in (20, 40):
         coarse = run_exact(example_problem(example, sys, alpha, N))
         fine = run_exact(example_problem(example, sys, alpha, 4 * N))
-        errors.append(error_report(coarse, fine.final, sys).final)
+        errors.append(error_report(coarse, fine.final, sys))
     order = math.log2(errors[0] / errors[1])
     assert 0.85 <= order <= 1.15
 
@@ -446,9 +446,9 @@ def test_error_report_identical_and_scaled():
     sys = assemble(build_mesh(8), 5.0)
     spec = example_problem(1, sys, 0.5, 6)
     traj = run_exact(spec)
-    assert error_report(traj, traj.final, sys).final == 0.0
+    assert error_report(traj, traj.final, sys) == 0.0
     doubled = 2.0 * traj.final
-    assert error_report(traj, doubled, sys).final == pytest.approx(0.5, rel=1e-14)
+    assert error_report(traj, doubled, sys) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_error_report_zero_reference_rejected():
