@@ -84,6 +84,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"N list must be strictly increasing, got {self.Ns}")
         if self.smoother not in ("gs", "jacobi"):
             raise ConfigurationError(f"smoother must be 'gs' or 'jacobi', got {self.smoother}")
+        DampedJacobi(omega=self.omega)  # checks omega, whichever smoother runs
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed}")
         check_cycle(self.nu1, self.nu2, self.K0)

@@ -1,10 +1,10 @@
 """Command-line benchmark harness.
 
 Subcommands: example1, example2, contraction, weights-dump.  Options may also
-come from a ``--config`` file of key=value lines (one per line, ``#`` starts
-a comment).  List values: ``alpha`` and ``N`` entries are separated by commas
-or spaces; ``schedule`` entries by spaces (specs like log:3,6 contain
-commas).  Explicit flags win over the file; an unknown key is an error.
+come from a ``--config`` file of key=value lines (one per line, ``#`` starts a
+comment).  List values: ``alpha`` and ``N`` entries are separated by commas or
+spaces; ``schedule`` entries by spaces (specs like log:3,6 contain commas).
+``paper-scale=yes`` means K=128.  Explicit flags win; an unknown key is an error.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/divergence failure.
 """
@@ -39,8 +39,9 @@ SETTINGS = (
     ("seed", "seed", int, "random seed for contraction probes"),
 )
 _DEFAULTS = ExperimentConfig()
-_FILE_KEYS = {flag for flag, *_ in SETTINGS} | {"format", "out", "paper-scale"}
+_FILE_KEYS = {flag for flag, *_ in SETTINGS} | {"format", "out"}
 PAPER_SCALE_K = 128
+_YES, _NO = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _add_common(p):
@@ -52,8 +53,9 @@ def _add_common(p):
                                            for v in (default if many else (default,))) + ")"
         p.add_argument(f"--{flag}", dest=field, type=cast, help=text,
                        action="append" if many else "store")
-    p.add_argument("--paper-scale", action="store_true", dest="paper_scale",
-                   help=f"use K={PAPER_SCALE_K} (desk-scale default is K={_DEFAULTS.K})")
+    p.add_argument("--paper-scale", action="store_const", const=PAPER_SCALE_K, dest="K",
+                   help=f"shorthand for --K {PAPER_SCALE_K}; the later of the two wins "
+                        f"(desk-scale default is K={_DEFAULTS.K})")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", dest="fmt", help="output format: csv | md (default csv)")
     p.add_argument("--config", help="key=value config file; flags override it")
@@ -91,6 +93,12 @@ def _read_config_file(path: str) -> dict:
                 values[key.strip()] = val.strip()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    scale = values.pop("paper-scale", "no").lower()
+    if scale not in _YES + _NO or (scale in _YES and "K" in values):
+        raise ConfigurationError(f"{path}: paper-scale must be one of {'/'.join(_YES + _NO)}"
+                                 f" and cannot join a K key, got {scale!r}")
+    if scale in _YES:
+        values["K"] = str(PAPER_SCALE_K)
     return values
 
 
@@ -113,8 +121,6 @@ def _given(args: argparse.Namespace, file_vals: dict) -> dict:
         flagged = getattr(args, field)
         if flagged is not None:
             given[field] = tuple(flagged) if many else flagged
-    if args.paper_scale or file_vals.get("paper-scale", "").lower() in ("1", "true", "yes"):
-        given["K"] = PAPER_SCALE_K
     return given
 
 

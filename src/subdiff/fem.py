@@ -221,8 +221,6 @@ class Factor:
         nrhs = np.linalg.norm(rhs)
         if not np.isfinite(nrhs):
             raise NumericsError("direct solve got a non-finite right-hand side")
-        if nrhs == 0.0:
-            return np.zeros_like(rhs)
         x = lu.solve(rhs)
         # written so that a NaN residual fails the test
         if not np.linalg.norm(rhs - A @ x) <= SOLVE_REL_TOL * nrhs:

@@ -9,7 +9,7 @@ interpolation), and the coarsest system is solved by a direct factorization.
 One V(nu1, nu2) cycle is the unit of work the time stepper counts as one
 inner iteration.  Its error propagation contracts in the energy-like norm
 |x| = sqrt(x' B x); ``estimate_contraction`` measures the contraction pair
-(c0, kappa) empirically from random zero-right-hand-side solves.
+(c0, kappa) from PROBE_CYCLES cycles on B x = 0 from PROBE_TRIALS random starts.
 """
 
 from dataclasses import dataclass
@@ -65,6 +65,9 @@ class GaussSeidelForward:
 
 
 Smoother = DampedJacobi | GaussSeidelForward
+
+PROBE_TRIALS = 5  # random starts of estimate_contraction
+PROBE_CYCLES = 8  # V-cycles from each start
 
 
 @dataclass(frozen=True)
@@ -249,43 +252,33 @@ class DirectSolver:
         return self._factor.solve(rhs)
 
 
-def estimate_contraction(h: MgHierarchy, trials: int = 5, cycles: int = 8,
-                         seed: int = 0) -> ContractionParams:
+def estimate_contraction(h: MgHierarchy, seed: int = 0) -> ContractionParams:
     """Measure (c0, kappa) of the V-cycle in the weighted norm.
 
     Runs B x = 0 from random starts; kappa is the largest per-cycle norm
-    ratio after the first cycle, c0 the largest observed r_m / kappa^m
-    (clamped to >= 1).  Raises if the iteration fails to contract.
+    ratio after the first cycle, c0 the largest r_m / kappa^m (at least 1).
+    A norm at or below 1e-12 of its start is rounding noise: no ratio divides
+    by it and it sets no c0.  Raises unless the iteration contracts and every
+    norm is finite.
     """
-    if trials < 1 or cycles < 2:
-        raise ConfigurationError(f"need trials >= 1 and cycles >= 2, got {trials}, {cycles}")
     dim = h.fine.B.shape[0]
     zero = np.zeros(dim)
     rng = np.random.default_rng(seed)
-    kappa = 0.0
-    histories = []
-    for _ in range(trials):
+    norms = np.empty((PROBE_TRIALS, PROBE_CYCLES + 1))
+    for trial in norms:
         x = rng.standard_normal(dim)
-        n0 = h.weighted_norm(x)
-        norms = [n0]
-        for _ in range(cycles):
+        trial[0] = h.weighted_norm(x)
+        for m in range(1, PROBE_CYCLES + 1):
             x = vcycle(h, x, zero)
-            norms.append(h.weighted_norm(x))
-        histories.append(norms)
-        floor = 1e-12 * n0
-        for m in range(2, cycles + 1):
-            if norms[m - 1] > floor:  # ratios below the floor are rounding noise
-                kappa = max(kappa, norms[m] / norms[m - 1])
-    if kappa >= 1.0:
+            trial[m] = h.weighted_norm(x)
+    live = norms > 1e-12 * norms[:, :1]
+    prev = live[:, 1:-1]  # the earlier norm of each ratio after the first cycle
+    kappa = float(np.max(norms[:, 2:][prev] / norms[:, 1:-1][prev], initial=0.0))
+    if not (kappa < 1.0 and np.isfinite(norms).all()):
         raise NumericsError(
-            f"iteration is not contracting: measured kappa = {kappa:.4f}")
+            f"iteration is not contracting or not finite: measured kappa = {kappa:.4f}")
     kappa = max(kappa, 1e-12)
-    c0 = 1.0
-    for norms in histories:
-        n0 = norms[0]
-        if n0 == 0.0:
-            continue
-        for m in range(1, cycles + 1):
-            if norms[m] > 1e-12 * n0:  # converged iterates carry no information
-                c0 = max(c0, (norms[m] / n0) / kappa ** m)
+    # Python's pow, not numpy's array power, which may differ in the last bit
+    decay = norms[:, 1:] / norms[:, :1] / [kappa ** m for m in range(1, PROBE_CYCLES + 1)]
+    c0 = float(np.max(decay[live[:, 1:]], initial=1.0))
     return ContractionParams(c0=c0, kappa=kappa)

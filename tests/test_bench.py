@@ -45,6 +45,8 @@ def test_config_validation():
     for seed in (-1, 1.5):
         with pytest.raises(ConfigurationError, match="seed"):
             ExperimentConfig(seed=seed)
+    with pytest.raises(ConfigurationError, match="damping"):
+        ExperimentConfig(omega=1.5)  # checked with the default smoother too
     assert ExperimentConfig(K=4, K0=4).K == 4  # one level suffices for a config
 
 
@@ -304,6 +306,8 @@ def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch
                 ["--K", "8", "--alpha", "0.5", "--alpha", "0.5"],
                 ["--K", "8", "--schedule", "fixed:1", "--schedule", " fixed:1"],
                 ["--K", "8", "--smoother", "sor"],
+                ["--K", "8", "--omega", "1.5"],
+                ["--K", "8", "--omega", "0"],
                 ["--K", "8", "--format", "xml"],
                 ["--K", "8", "--config", str(bad_format)],
                 ["--K", "8", "--out", str(tmp_path / "missing" / "t.csv")],
@@ -368,6 +372,10 @@ def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch):
     path.write_text(f"alpha=0.5\npaper-scale=yes\nformat=csv\nout={tmp_path / 't.csv'}\n")
     assert cli.main(["example1", "--config", str(path)]) == 0
     assert seen == [ExperimentConfig(alphas=(0.5,), K=128)]
+    for bad in ("paper-scale=ture\n", "K=64\npaper-scale=yes\n"):
+        path.write_text(bad)
+        assert cli.main(["example1", "--config", str(path)]) == 2
+    assert len(seen) == 1
 
 
 def test_cli_numerics_error_exit_code(monkeypatch):
@@ -386,7 +394,7 @@ def test_cli_weights_dump_domain_error():
     assert cli.main(["weights-dump", "--gamma", "2.5", "--n-max", "4"]) == 2
 
 
-def test_cli_paper_scale_flag(monkeypatch):
+def test_cli_paper_scale_flag(tmp_path, monkeypatch):
     seen = {}
 
     def capture(cfg):
@@ -401,6 +409,19 @@ def test_cli_paper_scale_flag(monkeypatch):
     assert seen["cfg"] == ExperimentConfig()
     assert cli.main(["example1", "--paper-scale"]) == 0
     assert seen["cfg"] == ExperimentConfig(K=128)
+    # the later of --K and --paper-scale wins, and a flag beats the file's
+    # paper-scale
+    assert cli.main(["example1", "--paper-scale", "--K", "16"]) == 0
+    assert seen["cfg"].K == 16
+    assert cli.main(["example1", "--K", "16", "--paper-scale"]) == 0
+    assert seen["cfg"].K == 128
+    path = tmp_path / "bench.cfg"
+    path.write_text("paper-scale=yes\n")
+    assert cli.main(["example1", "--config", str(path), "--K", "16"]) == 0
+    assert seen["cfg"] == ExperimentConfig(K=16)
+    path.write_text("paper-scale=No\nK=32\n")
+    assert cli.main(["example1", "--config", str(path)]) == 0
+    assert seen["cfg"] == ExperimentConfig(K=32)
 
 
 def test_cli_subprocess_entry(tmp_path):

@@ -1,5 +1,7 @@
 """V-cycle hierarchy, smoothers, direct solver, contraction estimation."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -122,7 +124,7 @@ def test_vcycle_fixed_point(hier32_gs):
 
 
 def test_vcycle_strict_contraction_on_homogeneous_system(hier32_gs):
-    params = estimate_contraction(hier32_gs, trials=5, cycles=8, seed=0)
+    params = estimate_contraction(hier32_gs, seed=0)
     bound = params.kappa * 1.05
     rng = np.random.default_rng(1)
     zero = np.zeros(hier32_gs.fine.B.shape[0])
@@ -265,7 +267,7 @@ def test_contraction_estimate_exact_solver_floor(sys32, monkeypatch):
         return x - solver.solve(B @ x)
 
     monkeypatch.setattr(multigrid, "vcycle", exact_step)
-    params = estimate_contraction(h, trials=2, cycles=3, seed=0)
+    params = estimate_contraction(h, seed=0)
     assert params.kappa == pytest.approx(1e-12)
     assert params.c0 == 1.0
 
@@ -280,11 +282,81 @@ def test_gs_contracts_faster_than_jacobi(hier32_gs, hier32_jac):
 def test_non_contracting_iteration_raises(hier32_gs, monkeypatch):
     monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: 1.1 * x)
     with pytest.raises(NumericsError):
-        estimate_contraction(hier32_gs, trials=1, cycles=3, seed=0)
+        estimate_contraction(hier32_gs, seed=0)
 
 
-def test_estimate_validation(hier32_gs):
-    with pytest.raises(ConfigurationError):
-        estimate_contraction(hier32_gs, trials=0)
-    with pytest.raises(ConfigurationError):
-        estimate_contraction(hier32_gs, cycles=1)
+def test_non_finite_probe_raises(hier32_gs, monkeypatch):
+    # a NaN after the first cycle must not read as perfect contraction
+    monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: np.full_like(x, np.nan))
+    with pytest.raises(NumericsError):
+        estimate_contraction(hier32_gs, seed=0)
+
+
+def two_pass_contraction(h, trials=5, cycles=8, seed=0):
+    """The two-pass probe that the one-pass estimate_contraction replaced,
+    kept as its oracle: kappa from per-trial norm lists, then c0 from a
+    second pass over the stored lists."""
+    dim = h.fine.B.shape[0]
+    zero = np.zeros(dim)
+    rng = np.random.default_rng(seed)
+    kappa = 0.0
+    histories = []
+    for _ in range(trials):
+        x = rng.standard_normal(dim)
+        n0 = h.weighted_norm(x)
+        norms = [n0]
+        for _ in range(cycles):
+            x = multigrid.vcycle(h, x, zero)
+            norms.append(h.weighted_norm(x))
+        histories.append(norms)
+        floor = 1e-12 * n0
+        for m in range(2, cycles + 1):
+            if norms[m - 1] > floor:
+                kappa = max(kappa, norms[m] / norms[m - 1])
+    assert kappa < 1.0
+    kappa = max(kappa, 1e-12)
+    c0 = 1.0
+    for norms in histories:
+        n0 = norms[0]
+        if n0 == 0.0:
+            continue
+        for m in range(1, cycles + 1):
+            if norms[m] > 1e-12 * n0:
+                c0 = max(c0, (norms[m] / n0) / kappa ** m)
+    return c0, kappa
+
+
+@pytest.mark.parametrize("smoother", [GaussSeidelForward(), DampedJacobi(),
+                                      DampedJacobi(omega=1.0)], ids=lambda s: repr(s))
+@pytest.mark.parametrize("tau, alpha", [(0.1, 0.2), (1.0 / 320, 0.8)])
+def test_contraction_matches_two_pass_oracle(sys32, smoother, tau, alpha):
+    h = build_hierarchy(sys32, tau, alpha, smoother)
+    for seed in (0, 3):
+        params = estimate_contraction(h, seed=seed)
+        assert (params.c0, params.kappa) == two_pass_contraction(h, seed=seed)
+
+
+@pytest.mark.parametrize("scale", [{0: 30.0}, {1: 1e-13, 2: 5e14}],
+                         ids=["grow-first", "drop-below-floor-and-revive"])
+def test_contraction_matches_two_pass_oracle_above_c0_floor(hier32_gs, hier32_jac,
+                                                            monkeypatch, scale):
+    """Cycles scaled by scale[k] at the k-th cycle of each start give c0 > 1:
+    growing the first cycle 30-fold puts c0 at m = 1; dropping a norm below
+    the 1e-12 floor and reviving it puts c0 at m = 3, where kappa**3 must be
+    Python's pow.  Both probes must agree bit for bit."""
+    real = multigrid.vcycle
+
+    def patch():
+        calls = itertools.count()
+
+        def cycle(h, x, rhs):
+            return scale.get(next(calls) % multigrid.PROBE_CYCLES, 1.0) * real(h, x, rhs)
+        monkeypatch.setattr(multigrid, "vcycle", cycle)
+
+    for h in (hier32_gs, hier32_jac):
+        for seed in range(5):
+            patch()
+            params = estimate_contraction(h, seed=seed)
+            patch()
+            assert (params.c0, params.kappa) == two_pass_contraction(h, seed=seed)
+            assert params.c0 > 1.0
