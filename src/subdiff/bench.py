@@ -13,6 +13,7 @@ trajectory: a backward Euler run with a much finer step (ref_N at least 16x
 the largest benchmarked N), or a vector loaded from a file.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -39,7 +40,6 @@ __all__ = [
     "run_example1",
     "run_example2",
     "run_contraction_sweep",
-    "emit_table",
     "weight_table_csv",
 ]
 
@@ -88,7 +88,6 @@ class ExperimentConfig:
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed}")
         check_cycle(self.nu1, self.nu2, self.K0)
-        level_sizes(self.K, self.K0)
         if self.ref_file is None and self.ref_N < 16 * max(self.Ns):
             raise ConfigurationError(
                 f"ref_N={self.ref_N} must be at least 16x the largest N={max(self.Ns)}")
@@ -103,6 +102,9 @@ class ExperimentConfig:
         rows = [text.strip() for text in self.schedules]
         if len(set(rows)) != len(rows):
             raise ConfigurationError(f"schedule rows must be distinct, got {self.schedules}")
+        if len(level_sizes(self.K, self.K0)) < 2 and set(rows) != {"exact"}:
+            raise ConfigurationError(
+                f"K={self.K} equals K0: with one level only 'exact' rows can run")
 
     def meta_line(self, command: str) -> str:
         return (f"# subdiff-bench {command} seed={self.seed} K={self.K} "
@@ -162,72 +164,47 @@ class ErrorTable:
     """
 
     Ns: tuple
-    meta: str = ""
+    meta: str
     cells: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
-    def put(self, alpha: float, label: str, N: int, err: float, seconds: float = 0.0):
+    def put(self, alpha: float, label: str, N: int, err: float, seconds: float):
         self.cells.setdefault((alpha, label), {})[N] = float(err)
         self.timings[(alpha, label, N)] = seconds
 
-    def sorted_keys(self):
-        return sorted(self.cells.keys())
-
-    def emitted_error(self, key, N) -> float:
-        return float(f"{self.cells[key][N]:.5e}")
-
-    def rate(self, key, N) -> float | None:
-        """log2 of the error ratio against the previous N, from emitted values."""
-        i = self.Ns.index(N)
-        if i == 0 or self.Ns[i - 1] not in self.cells[key]:
-            return None
-        prev = self.emitted_error(key, self.Ns[i - 1])
-        cur = self.emitted_error(key, N)
-        if prev <= 0.0 or cur <= 0.0:
-            return None
-        return math.log2(prev / cur)
+    def _rows(self):
+        """Yield (alpha, label, cells) per row in sorted order, with one
+        (N, emitted error or None, rate or None) triple per N in Ns.  The
+        rate is log2 of the previous N's emitted error over this one."""
+        for (alpha, label), errs in sorted(self.cells.items()):
+            prev, cells = None, []
+            for N in self.Ns:
+                err = float(f"{errs[N]:.5e}") if N in errs else None
+                ok = prev is not None and err is not None and prev > 0.0 and err > 0.0
+                cells.append((N, err, math.log2(prev / err) if ok else None))
+                prev = err
+            yield alpha, label, cells
 
     def to_csv(self) -> str:
-        lines = [self.meta, "alpha,row_label,N,eN,rate"] if self.meta else [
-            "alpha,row_label,N,eN,rate"]
-        for key in self.sorted_keys():
-            alpha, label = key
-            for N in self.Ns:
-                if N not in self.cells[key]:
-                    continue
-                rate = self.rate(key, N)
-                rate_s = "" if rate is None else f"{rate:.10e}"
-                lines.append(
-                    f"{alpha:.5e},{label},{N},{self.cells[key][N]:.5e},{rate_s}")
+        lines = [self.meta, "alpha,row_label,N,eN,rate"]
+        for alpha, label, cells in self._rows():
+            for N, err, rate in cells:
+                if err is not None:
+                    rate_s = "" if rate is None else f"{rate:.10e}"
+                    lines.append(f"{alpha:.5e},{label},{N},{err:.5e},{rate_s}")
         return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
-        out = []
-        if self.meta:
-            out.append(self.meta.lstrip("# "))
-            out.append("")
-        alphas = sorted({a for a, _ in self.cells})
-        for alpha in alphas:
-            out.append(f"### alpha = {alpha:g}")
-            out.append("")
-            header = "| row | " + " | ".join(f"N={N}" for N in self.Ns) + " |"
-            out.append(header)
-            out.append("|" + "---|" * (len(self.Ns) + 1))
-            for key in self.sorted_keys():
-                if key[0] != alpha:
-                    continue
-                label = key[1]
-                errs, rates = [], []
-                for N in self.Ns:
-                    if N in self.cells[key]:
-                        errs.append(f"{self.emitted_error(key, N):.2e}")
-                        r = self.rate(key, N)
-                        rates.append("" if r is None else f"{r:.2f}")
-                    else:
-                        errs.append("")
-                        rates.append("")
-                out.append(f"| {label} | " + " | ".join(errs) + " |")
-                out.append("| rate | " + " | ".join(rates) + " |")
+        out = [self.meta.lstrip("# "), ""]
+        for alpha, rows in itertools.groupby(self._rows(), key=lambda row: row[0]):
+            out += [f"### alpha = {alpha:g}", "",
+                    "| row | " + " | ".join(f"N={N}" for N in self.Ns) + " |",
+                    "|" + "---|" * (len(self.Ns) + 1)]
+            for _, label, cells in rows:
+                out.append(f"| {label} | " + " | ".join(
+                    "" if err is None else f"{err:.2e}" for _, err, _ in cells) + " |")
+                out.append("| rate | " + " | ".join(
+                    "" if rate is None else f"{rate:.2f}" for _, _, rate in cells) + " |")
             out.append("")
         return "\n".join(out) + "\n"
 
@@ -236,24 +213,20 @@ class ErrorTable:
 class ContractionReport:
     """Measured (kappa, c0) per (alpha, N, smoother) cell at fixed K."""
 
-    meta: str = ""
+    meta: str
     rows: list = field(default_factory=list)  # (alpha, tau, K, smoother, nu1, nu2, kappa, c0)
 
     def to_csv(self) -> str:
-        lines = [self.meta] if self.meta else []
-        lines.append("alpha,tau,K,smoother,nu1,nu2,kappa,c0")
+        lines = [self.meta, "alpha,tau,K,smoother,nu1,nu2,kappa,c0"]
         for alpha, tau, K, sm, nu1, nu2, kappa, c0 in sorted(self.rows):
             lines.append(f"{alpha:.5e},{tau:.5e},{K},{sm},{nu1},{nu2},"
                          f"{kappa:.5e},{c0:.5e}")
         return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
-        out = []
-        if self.meta:
-            out.append(self.meta.lstrip("# "))
-            out.append("")
-        out.append("| alpha | tau | K | smoother | nu1 | nu2 | kappa | c0 |")
-        out.append("|---|---|---|---|---|---|---|---|")
+        out = [self.meta.lstrip("# "), "",
+               "| alpha | tau | K | smoother | nu1 | nu2 | kappa | c0 |",
+               "|---|---|---|---|---|---|---|---|"]
         for alpha, tau, K, sm, nu1, nu2, kappa, c0 in sorted(self.rows):
             out.append(f"| {alpha:g} | {tau:.4e} | {K} | {sm} | {nu1} | {nu2} "
                        f"| {kappa:.3e} | {c0:.3f} |")
@@ -264,11 +237,12 @@ def _reference_final(cfg: ExperimentConfig, sys, example: int, alpha: float) -> 
     if cfg.ref_file is not None:
         try:
             vec = np.load(cfg.ref_file)
-        except OSError as exc:
+        except (OSError, ValueError, EOFError) as exc:
             raise ConfigurationError(f"cannot read reference file: {exc}") from exc
-        if vec.shape != (sys.dim,) or not np.isfinite(vec).all():
+        if not (isinstance(vec, np.ndarray) and vec.shape == (sys.dim,)
+                and vec.dtype.kind in "iuf" and np.isfinite(vec).all()):
             raise ConfigurationError(
-                f"reference file needs {sys.dim} finite values, has shape {vec.shape}")
+                f"reference file needs a .npy array of {sys.dim} finite numbers")
         return vec
     spec = example_problem(example, sys, alpha, cfg.ref_N, T)
     return run_exact(spec).final
@@ -326,13 +300,6 @@ def run_contraction_sweep(cfg: ExperimentConfig) -> ContractionReport:
                 report.rows.append((alpha, tau, cfg.K, smoother.name, cfg.nu1,
                                     cfg.nu2, params.kappa, params.c0))
     return report
-
-
-def emit_table(table, fmt: str = "csv") -> str:
-    """Render a table as CSV or Markdown text."""
-    if fmt not in FORMATS:
-        raise ConfigurationError(f"unknown format {fmt!r}")
-    return table.to_csv() if fmt == "csv" else table.to_markdown()
 
 
 def weight_table_csv(gamma: float, n_max: int) -> str:

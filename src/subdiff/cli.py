@@ -13,8 +13,8 @@ import argparse
 import os
 import sys
 
-from .bench import (FORMATS, ExperimentConfig, emit_table, run_contraction_sweep,
-                    run_example1, run_example2, weight_table_csv)
+from .bench import (FORMATS, ExperimentConfig, run_contraction_sweep, run_example1,
+                    run_example2, weight_table_csv)
 from .errors import ConfigurationError, NumericsError
 
 # The settings of the table commands, one entry each: (flag and config-file
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
         runner = {"example1": run_example1, "example2": run_example2,
                   "contraction": run_contraction_sweep}[args.command]
         table = runner(cfg)
-        _write(emit_table(table, fmt), out)
+        _write(table.to_markdown() if fmt == "md" else table.to_csv(), out)
         _print_timings(table)
         return 0
     except ValueError as exc:  # ConfigurationError and plain domain errors

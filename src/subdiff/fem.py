@@ -125,8 +125,8 @@ def assemble(mesh: Mesh2D, c_A: float) -> FemSystem:
     stiffness (b b' + c c')/(4 area) scaled by c_A.  Assembly order is fixed,
     so results are bit-reproducible; tocsr() sums duplicates and sorts indices.
     """
-    if not c_A > 0.0:
-        raise ConfigurationError(f"diffusivity must be positive, got {c_A}")
+    if not (np.isfinite(c_A) and c_A > 0.0):
+        raise ConfigurationError(f"diffusivity must be finite and positive, got {c_A}")
     _, b, c, area = mesh._geometry()
     Ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     Ke = c_A * Ke / (4.0 * area)[:, None, None]

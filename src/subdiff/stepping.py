@@ -127,9 +127,6 @@ class ExactSchedule(Schedule):
     def exact(self, n: int) -> bool:
         return True
 
-    def iters(self, t_n: float, tau: float, alpha: float) -> int:
-        raise ConfigurationError("the exact schedule has no finite iteration count")
-
 
 @dataclass(frozen=True)
 class LogSchedule(Schedule):
@@ -205,8 +202,6 @@ def schedule_iters(schedule: Schedule, n: int, t_n: float, tau: float,
     """Inner iteration count M_n demanded by ``schedule`` at step n, clamped
     to MAX_INNER_ITERATIONS with a warning."""
     m = schedule.iters(t_n, tau, alpha)
-    if m < 1:
-        raise ConfigurationError(f"schedule produced no iterations at step {n}")
     if m > MAX_INNER_ITERATIONS:
         log.warning("schedule demanded %d iterations at step %d; clamped to %d",
                     m, n, MAX_INNER_ITERATIONS)

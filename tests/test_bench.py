@@ -11,7 +11,7 @@ import pytest
 import subdiff.bench as bench
 import subdiff.cli as cli
 from subdiff.bench import (ContractionReport, ErrorTable, ExperimentConfig,
-                           emit_table, example_problem, parse_schedule,
+                           example_problem, parse_schedule,
                            run_contraction_sweep, run_example1, run_example2,
                            weight_table_csv)
 from subdiff.errors import ConfigurationError, NumericsError
@@ -47,7 +47,9 @@ def test_config_validation():
             ExperimentConfig(seed=seed)
     with pytest.raises(ConfigurationError, match="damping"):
         ExperimentConfig(omega=1.5)  # checked with the default smoother too
-    assert ExperimentConfig(K=4, K0=4).K == 4  # one level suffices for a config
+    with pytest.raises(ConfigurationError, match="K0"):
+        ExperimentConfig(K=4, K0=4)  # the default rows need a V-cycle
+    assert ExperimentConfig(K=4, K0=4, schedules=("exact",)).K == 4  # exact rows need one level
 
 
 def test_parse_schedule_forms():
@@ -93,12 +95,12 @@ def synthetic_table():
         for label in ("fixed:1", "fixed:2", "fixed:3", "exact"):
             base = rng.uniform(1e-3, 1e-2)
             for i, N in enumerate(table.Ns):
-                table.put(alpha, label, N, base / 2**i)
+                table.put(alpha, label, N, base / 2**i, 0.0)
     return table
 
 
 def test_emit_table_row_count_mirrors_grid():
-    text = emit_table(synthetic_table(), "csv")
+    text = synthetic_table().to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "# synthetic"
     assert lines[1] == "alpha,row_label,N,eN,rate"
@@ -107,16 +109,16 @@ def test_emit_table_row_count_mirrors_grid():
 
 def test_emit_table_empty_and_single_cell():
     empty = ErrorTable(Ns=(10,), meta="# empty")
-    assert emit_table(empty, "csv") == "# empty\nalpha,row_label,N,eN,rate\n"
-    one = ErrorTable(Ns=(10, 20), meta="")
-    one.put(0.5, "exact", 10, 1.5e-3)
-    lines = emit_table(one, "csv").strip().splitlines()
-    assert len(lines) == 2
-    assert lines[1].endswith(",")  # no rate for the first N
+    assert empty.to_csv() == "# empty\nalpha,row_label,N,eN,rate\n"
+    one = ErrorTable(Ns=(10, 20), meta="# one")
+    one.put(0.5, "exact", 10, 1.5e-3, 0.0)
+    lines = one.to_csv().strip().splitlines()
+    assert len(lines) == 3  # meta, header, one cell
+    assert lines[2].endswith(",")  # no rate for the first N
 
 
 def test_emitted_rates_recompute_from_emitted_errors():
-    text = emit_table(synthetic_table(), "csv")
+    text = synthetic_table().to_csv()
     errors = {}
     for line in text.strip().splitlines()[2:]:
         alpha, label, N, eN, rate = line.split(",")
@@ -129,15 +131,10 @@ def test_emitted_rates_recompute_from_emitted_errors():
 
 
 def test_markdown_layout():
-    text = emit_table(synthetic_table(), "md")
+    text = synthetic_table().to_markdown()
     assert text.count("### alpha =") == 3
     assert "| rate |" in text
     assert "N=320" in text
-
-
-def test_emit_table_unknown_format():
-    with pytest.raises(ConfigurationError):
-        emit_table(synthetic_table(), "xml")
 
 
 def test_weight_table_csv():
@@ -179,8 +176,8 @@ def test_exact_row_is_smoother_independent(tiny_tables):
 
 def test_rerun_is_byte_identical(tiny_tables):
     cfg = ExperimentConfig(schedules=("fixed:1", "exact"), smoother="gs", **TINY)
-    again = emit_table(run_example1(cfg), "csv")
-    assert again == emit_table(tiny_tables[0], "csv")
+    again = run_example1(cfg).to_csv()
+    assert again == tiny_tables[0].to_csv()
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -193,6 +190,11 @@ K16 = ["--K", "16", "--N", "10", "--N", "20"]
                           "--schedule", "theory-nonsmooth:0.1",
                           "--schedule", "log:3,6", "--schedule", "exact"]),
     ("contraction_K16.csv", ["contraction", *K16]),
+    ("example2_K16.md", ["example2", *K16, "--N", "40", "--ref-N", "640",
+                         "--schedule", "theory-nonsmooth:0.1",
+                         "--schedule", "log:3,6", "--schedule", "exact",
+                         "--format", "md"]),
+    ("contraction_K16.md", ["contraction", *K16, "--format", "md"]),
 ])
 def test_cli_reproduces_golden_tables(name, argv, tmp_path):
     """The committed tables, byte for byte: any change to a solver's
@@ -207,8 +209,7 @@ def test_example2_runs_with_theory_schedule():
                            smoother="gs", **TINY)
     table = run_example2(cfg)
     assert set(table.cells) == {(0.5, "log:1,0"), (0.5, "theory-nonsmooth:0.1")}
-    text = emit_table(table, "csv")
-    assert text == emit_table(run_example2(cfg), "csv")
+    assert table.to_csv() == run_example2(cfg).to_csv()
 
 
 def test_contraction_sweep_small():
@@ -222,9 +223,9 @@ def test_contraction_sweep_small():
         assert 0.0 < kappa < 1.0
         assert c0 >= 1.0
     assert by_smoother["gs"][6] < by_smoother["jacobi"][6]
-    text = emit_table(report, "csv")
+    text = report.to_csv()
     assert text.splitlines()[1] == "alpha,tau,K,smoother,nu1,nu2,kappa,c0"
-    assert emit_table(run_contraction_sweep(cfg), "csv") == text
+    assert run_contraction_sweep(cfg).to_csv() == text
 
 
 # ------------------------------------------------------------- CLI
@@ -311,7 +312,9 @@ def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch
                 ["--K", "8", "--format", "xml"],
                 ["--K", "8", "--config", str(bad_format)],
                 ["--K", "8", "--out", str(tmp_path / "missing" / "t.csv")],
-                ["--K", "8", "--schedule", "theory-nonsmooth:0.1", "--seed", "-1"]):
+                ["--K", "8", "--schedule", "theory-nonsmooth:0.1", "--seed", "-1"],
+                ["--K", "4"],  # K = K0 leaves no V-cycle for the default rows
+                ["--K", "8", "--cA", "inf"]):
         assert cli.main(base + bad) == 2
 
 
@@ -356,6 +359,12 @@ def test_cli_bad_reference_file_exit_code(tmp_path):
     assert cli.main(argv + [str(tmp_path / "missing.npy")]) == 2
     np.save(tmp_path / "nan.npy", np.full(49, np.nan))  # K=8: 49 interior nodes
     assert cli.main(argv + [str(tmp_path / "nan.npy")]) == 2
+    np.savez(tmp_path / "ref.npz", ref=np.zeros(49))  # an archive, not an array
+    assert cli.main(argv + [str(tmp_path / "ref.npz")]) == 2
+    (tmp_path / "empty.npy").write_bytes(b"")
+    assert cli.main(argv + [str(tmp_path / "empty.npy")]) == 2
+    np.save(tmp_path / "text.npy", np.array(["0"] * 49))
+    assert cli.main(argv + [str(tmp_path / "text.npy")]) == 2
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch):

@@ -222,11 +222,6 @@ def test_schedule_iters_bounded_and_nonincreasing_in_time(sched, N, alpha, T):
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def test_schedule_iters_rejects_exact():
-    with pytest.raises(ConfigurationError):
-        schedule_iters(ExactSchedule(), 5, 0.5, 0.1, 0.5)
-
-
 def test_theory_smooth_uses_weaker_demand():
     params = ContractionParams(c0=2.0, kappa=0.3)
     tau = 1.0 / 64.0
@@ -358,19 +353,6 @@ def test_run_iis_validates_hierarchy():
     wrong_tau = build_hierarchy(sys, 0.5, 0.5, GaussSeidelForward())
     with pytest.raises(ConfigurationError):
         run_iis(spec, LogSchedule(a=1), wrong_tau)
-
-
-def test_zero_iteration_schedule_rejected():
-    class StarvedSchedule(LogSchedule):
-        def iters(self, t_n, tau, alpha):
-            return 0
-
-    sys = assemble(build_mesh(8), 5.0)
-    spec = example_problem(1, sys, 0.5, 8)
-    h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
-    starved = StarvedSchedule(a=1)
-    with pytest.raises(ConfigurationError):
-        run_iis(spec, starved, h)
 
 
 def test_divergent_inner_iteration_raises(monkeypatch):
