@@ -125,6 +125,8 @@ def _given(args: argparse.Namespace, file_vals: dict) -> dict:
 
 
 def _check_out(out: str | None) -> None:
+    if out == "":
+        raise ConfigurationError("output path is empty")
     if out is not None and os.path.isdir(out):
         raise ConfigurationError(f"output path {out} is a directory")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
@@ -163,8 +165,8 @@ def main(argv=None) -> int:
             return 0
         file_vals = _read_config_file(args.config) if args.config else {}
         cfg = ExperimentConfig(**_given(args, file_vals))
-        fmt = args.fmt or file_vals.get("format", "csv")
-        out = args.out or file_vals.get("out")
+        fmt = file_vals.get("format", "csv") if args.fmt is None else args.fmt
+        out = file_vals.get("out") if args.out is None else args.out
         if fmt not in FORMATS:
             raise ConfigurationError(f"unknown format {fmt!r}")
         _check_out(out)

@@ -52,6 +52,9 @@ class Mesh2D:
     triangles : (2K^2, 3) vertex indices, counterclockwise.
     interior_of_full : full-node index -> interior index, -1 on the boundary.
     full_of_interior : interior index -> full-node index.
+    b, c : (2K^2, 3) edge differences, grad(phi_k) = (b_k, c_k) / (2 area).
+    area : (2K^2,) triangle areas.
+    quad_points : (6, 2K^2, 2) physical points of the 6-point rule.
     """
 
     def __init__(self, K: int):
@@ -82,18 +85,13 @@ class Mesh2D:
         self.full_of_interior = np.flatnonzero(interior)
         self.n_interior = int(interior.sum())
 
-    def _geometry(self):
-        """Per-triangle gradient coefficients and areas.
-
-        For vertices p0,p1,p2 the P1 basis gradients are
-        grad(phi_k) = (b_k, c_k) / (2 A); b, c come from edge differences.
-        """
-        p = self.coords[self.triangles]
-        x, y = p[:, :, 0], p[:, :, 1]
-        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-        return p, b, c, area
+        p = self.coords[tris.T]  # p[k]: vertex k of every triangle
+        x, y = p[..., 0], p[..., 1]
+        self.b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1)
+        self.c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1)
+        self.area = 0.5 * (self.b[:, 0] * self.c[:, 1] - self.b[:, 1] * self.c[:, 0])
+        # summed in vertex order; a BLAS product would change the last bits
+        self.quad_points = sum(_QUAD_BARY[:, k, None, None] * p[k] for k in range(3))
 
 
 def build_mesh(K: int) -> Mesh2D:
@@ -127,7 +125,7 @@ def assemble(mesh: Mesh2D, c_A: float) -> FemSystem:
     """
     if not (np.isfinite(c_A) and c_A > 0.0):
         raise ConfigurationError(f"diffusivity must be finite and positive, got {c_A}")
-    _, b, c, area = mesh._geometry()
+    b, c, area = mesh.b, mesh.c, mesh.area
     Ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     Ke = c_A * Ke / (4.0 * area)[:, None, None]
     Me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
@@ -142,25 +140,17 @@ def assemble(mesh: Mesh2D, c_A: float) -> FemSystem:
     return FemSystem(mesh=mesh, c_A=float(c_A), M=M, S=S)
 
 
-def _quad_points(mesh: Mesh2D):
-    """Physical quadrature points, shape (nq, ntri, 2)."""
-    p = mesh.coords[mesh.triangles]
-    return np.einsum("qk,ekd->qed", _QUAD_BARY, p)
-
-
 def load_vector(mesh: Mesh2D, g) -> np.ndarray:
     """Interior load vector F_i = integral of g * phi_i, 6-point rule per triangle.
 
     ``g(x, y)`` must accept equal-shaped arrays and return an array; values
     must be finite.
     """
-    p, _, _, area = mesh._geometry()
-    pts = _quad_points(mesh)
     Fe = np.zeros((len(mesh.triangles), 3))
     for q, w in enumerate(_QUAD_W):
-        gv = np.broadcast_to(np.asarray(g(pts[q, :, 0], pts[q, :, 1]), dtype=float),
+        gv = np.broadcast_to(np.asarray(g(*mesh.quad_points[q].T), dtype=float),
                              (len(mesh.triangles),))
-        Fe += (w * area * gv)[:, None] * _QUAD_BARY[q][None, :]
+        Fe += (w * mesh.area * gv)[:, None] * _QUAD_BARY[q][None, :]
     if not np.all(np.isfinite(Fe)):
         raise NumericsError("load function produced non-finite values")
     return _scatter_to_interior(mesh, Fe)
@@ -242,13 +232,11 @@ def ritz_project(sys: FemSystem, grad) -> np.ndarray:
     arrays.
     """
     mesh = sys.mesh
-    _, b, c, _ = mesh._geometry()
     Ge = np.zeros((len(mesh.triangles), 3))
-    pts = _quad_points(mesh)
     for q, w in enumerate(_QUAD_W):
-        gx, gy = (np.asarray(g, dtype=float) for g in grad(pts[q, :, 0], pts[q, :, 1]))
+        gx, gy = (np.asarray(g, dtype=float) for g in grad(*mesh.quad_points[q].T))
         # area * grad(phi_k) = (b_k, c_k)/2 cancels the rule's area factor
-        Ge += (w / 2.0) * (gx[:, None] * b + gy[:, None] * c)
+        Ge += (w / 2.0) * (gx[:, None] * mesh.b + gy[:, None] * mesh.c)
     if not np.all(np.isfinite(Ge)):
         raise NumericsError("gradient data produced non-finite values")
     return Factor(sys.S).solve(sys.c_A * _scatter_to_interior(mesh, Ge))
@@ -263,14 +251,12 @@ def l2_norm(sys: FemSystem, x: np.ndarray) -> float:
 def l2_error_vs_function(sys: FemSystem, x: np.ndarray, u) -> float:
     """L2 distance between the P1 function with nodal values x and u(x, y)."""
     mesh = sys.mesh
-    _, _, _, area = mesh._geometry()
-    pts = _quad_points(mesh)
     full = np.zeros(len(mesh.coords))
     full[mesh.full_of_interior] = x
     nodal = full[mesh.triangles]
     acc = np.zeros(len(mesh.triangles))
     for q, w in enumerate(_QUAD_W):
         uh = nodal @ _QUAD_BARY[q]
-        ue = np.asarray(u(pts[q, :, 0], pts[q, :, 1]), dtype=float)
+        ue = np.asarray(u(*mesh.quad_points[q].T), dtype=float)
         acc += w * (uh - ue) ** 2
-    return float(np.sqrt(np.sum(acc * area)))
+    return float(np.sqrt(np.sum(acc * mesh.area)))

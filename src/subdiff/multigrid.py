@@ -126,8 +126,7 @@ def prolongation_matrix(coarse: Mesh2D, fine: Mesh2D) -> sp.csr_matrix:
 class MgHierarchy:
     """Immutable multigrid hierarchy; build with :func:`build_hierarchy`."""
 
-    def __init__(self, levels, prolongations, coarse_lu, smoother, nu1, nu2,
-                 tau, alpha):
+    def __init__(self, levels, prolongations, coarse_lu, smoother, nu1, nu2):
         self.levels = levels              # coarse -> fine
         self.prolongations = prolongations  # P[i]: level i -> level i+1
         # P' as CSR: bitwise P.T @ r, in half the time of the CSC view P.T
@@ -136,8 +135,6 @@ class MgHierarchy:
         self.smoother = smoother
         self.nu1 = nu1
         self.nu2 = nu2
-        self.tau = tau
-        self.alpha = alpha
 
     @property
     def fine(self) -> GridLevel:
@@ -207,8 +204,7 @@ def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
     # 13 us against 1 us raw, about 0.17 s over the 13533 cycles of the
     # K=64 example2 table (2-core Xeon, one BLAS thread)
     coarse_lu = Factor(levels[0].B).lu
-    return MgHierarchy(levels, prolongations, coarse_lu, smoother, nu1, nu2,
-                       float(tau), float(alpha))
+    return MgHierarchy(levels, prolongations, coarse_lu, smoother, nu1, nu2)
 
 
 def smooth(level: GridLevel, x: np.ndarray, rhs: np.ndarray,

@@ -31,8 +31,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(Ns=(20, 10))
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(Ns=(10, 20), ref_N=100)
-    with pytest.raises(ConfigurationError):
         ExperimentConfig(K=12, K0=4)  # 12 -> 6 -> 3, never reaches 4
     with pytest.raises(ConfigurationError):
         ExperimentConfig(smoother="sor")
@@ -50,6 +48,28 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="K0"):
         ExperimentConfig(K=4, K0=4)  # the default rows need a V-cycle
     assert ExperimentConfig(K=4, K0=4, schedules=("exact",)).K == 4  # exact rows need one level
+
+
+def test_reference_rules_checked_before_any_run(monkeypatch):
+    """ref_N >= 16 max N and a reference file's single alpha bind the example
+    tables only; the contraction sweep runs no reference."""
+    def never(*args):
+        raise AssertionError("a run started before the reference rules were checked")
+
+    monkeypatch.setattr(bench, "run_exact", never)
+    monkeypatch.setattr(bench, "run_iis", never)
+    for bad in (dict(Ns=(10, 20), ref_N=100),
+                dict(alphas=(0.2, 0.5), ref_file="ref.npy")):
+        cfg = ExperimentConfig(**bad)
+        with pytest.raises(ConfigurationError):
+            run_example1(cfg)
+
+
+def test_cli_contraction_needs_no_reference(tmp_path):
+    out = tmp_path / "c.csv"
+    assert cli.main(["contraction", "--K", "8", "--N", "640", "--alpha", "0.5",
+                     "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4  # meta, header, two smoothers
 
 
 def test_parse_schedule_forms():
@@ -352,6 +372,23 @@ def test_cli_rejects_unwritable_out_path(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_example1", made_a_directory)
     assert cli.main(["example1", "--K", "8", "--N", "5", "--ref-N", "80",
                      "--out", str(out)]) == 2
+
+
+def test_cli_rejects_empty_out_or_format_before_any_run(tmp_path, monkeypatch):
+    """An empty output path or format exits 2 before any run, whether it is
+    given as a flag or in the config file."""
+    def never(cfg):
+        raise AssertionError("a run started before the output was checked")
+
+    monkeypatch.setattr(cli, "run_example1", never)
+    base = ["example1", "--K", "8", "--N", "5", "--ref-N", "80"]
+    assert cli.main(base + ["--out", ""]) == 2
+    assert cli.main(base + ["--format", ""]) == 2
+    for line in ("out=\n", "format=\n"):
+        path = tmp_path / "bench.cfg"
+        path.write_text(line)
+        assert cli.main(base + ["--config", str(path)]) == 2
+    assert cli.main(["weights-dump", "--gamma", "0.5", "--n-max", "4", "--out", ""]) == 2
 
 
 def test_cli_bad_reference_file_exit_code(tmp_path):

@@ -41,8 +41,7 @@ def triangle_centroids(mesh):
 def load_vector_from_cell_values(mesh, values):
     """Exact load vector of a function constant on each triangle: the
     integral of phi_i over a triangle is area/3 at each of its vertices."""
-    _, _, _, area = mesh._geometry()
-    share = np.asarray(values, dtype=float) * area / 3.0
+    share = np.asarray(values, dtype=float) * mesh.area / 3.0
     F = np.zeros(mesh.n_interior)
     idx = mesh.interior_of_full[mesh.triangles]
     for k in range(3):
@@ -68,8 +67,7 @@ def test_mesh_counts():
 
 def test_mesh_triangle_areas_positive():
     m = build_mesh(6)
-    _, b, c, area = m._geometry()
-    np.testing.assert_allclose(area, m.h**2 / 2.0, rtol=1e-14)
+    np.testing.assert_allclose(m.area, m.h**2 / 2.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("K", [1, 3, 0, -2, 7])
@@ -216,7 +214,7 @@ def test_ritz_project_reproduces_mesh_function():
     sys = assemble(build_mesh(8), 2.0)
     mesh = sys.mesh
     # exact cellwise-constant gradient of the hat at node (3, 5)
-    _, b, c, area = mesh._geometry()
+    b, c, area = mesh.b, mesh.c, mesh.area
     node = 5 * 9 + 3
     grad_cells = np.zeros((len(mesh.triangles), 2))
     for local in range(3):

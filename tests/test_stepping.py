@@ -346,13 +346,27 @@ def test_inner_corrections_contract_at_measured_rate():
 
 
 def test_run_iis_validates_hierarchy():
+    """A hierarchy is accepted when its fine operator is the step operator
+    M + tau^alpha S, whatever system object or alpha it was built from."""
     sys = assemble(build_mesh(8), 5.0)
     spec = example_problem(1, sys, 0.5, 8)
+    tau = spec.grid.tau
     with pytest.raises(ConfigurationError):
         run_iis(spec, LogSchedule(a=1), None)
-    wrong_tau = build_hierarchy(sys, 0.5, 0.5, GaussSeidelForward())
-    with pytest.raises(ConfigurationError):
-        run_iis(spec, LogSchedule(a=1), wrong_tau)
+    for wrong in (build_hierarchy(sys, 0.5, 0.5, GaussSeidelForward()),  # tau
+                  build_hierarchy(assemble(build_mesh(8), 4.0), tau, 0.5),  # c_A
+                  build_hierarchy(assemble(build_mesh(16), 5.0), tau, 0.5),  # K
+                  build_hierarchy(sys, tau, 0.6)):  # alpha at tau < 1
+        with pytest.raises(ConfigurationError, match="step operator"):
+            run_iis(spec, LogSchedule(a=1), wrong)
+    want = run_iis(spec, LogSchedule(a=1), build_hierarchy(sys, tau, 0.5)).final
+    twin = build_hierarchy(assemble(build_mesh(8), 5.0), tau, 0.5)
+    np.testing.assert_array_equal(run_iis(spec, LogSchedule(a=1), twin).final, want)
+    # at tau = 1, tau^alpha S = S for every alpha: the operator is the same
+    unit_steps = example_problem(1, sys, 0.5, 2, T=2.0)
+    other_alpha = build_hierarchy(sys, 1.0, 0.3)
+    schedule = LogSchedule(a=1, exact_startup_steps=1)
+    assert not run_iis(unit_steps, schedule, other_alpha).records[-1].exact
 
 
 def test_divergent_inner_iteration_raises(monkeypatch):
