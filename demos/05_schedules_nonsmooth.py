@@ -2,15 +2,15 @@
 
 With piecewise-constant initial data the solution has a start-up singularity
 and early steps need more inner iterations.  Shows the logarithmic schedule
-M_n = a + b log2(1/t_n) and the schedule derived from the measured
-contraction pair, including its per-step iteration counts.
+M_n = a + b log2(1/t_n) and the schedule derived from the V-cycle's
+contraction kappa = |E|_B, including its per-step iteration counts.
 """
 
 import numpy as np
 
 from subdiff import (GaussSeidelForward, LogSchedule, TheoryNonsmoothData,
                      assemble, build_hierarchy, build_mesh,
-                     estimate_contraction, error_report, run_exact, run_iis)
+                     cycle_norm, error_report, run_exact, run_iis)
 from subdiff.bench import example_problem
 
 K, alpha = 32, 0.8
@@ -29,13 +29,13 @@ for a, b in ((1, 0), (3, 6)):
     rates = ", ".join(f"{np.log2(x / y):.2f}" for x, y in zip(errs, errs[1:]))
     print(f"a={a} b={b}: errors {['%.2e' % e for e in errs]}, observed orders [{rates}]")
 
-print("\n=== schedule from the measured contraction pair ===")
+print("\n=== schedule from the contraction kappa = |E|_B ===")
 N = 160
 spec = example_problem(2, sys, alpha, N)
 h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
-params = estimate_contraction(h, seed=0)
-print(f"measured c0 = {params.c0:.2f}, kappa = {params.kappa:.3f}")
-traj = run_iis(spec, TheoryNonsmoothData(delta=0.1, params=params), h)
+kappa = cycle_norm(h, seed=0)
+print(f"kappa = |E|_B = {kappa:.3f}")
+traj = run_iis(spec, TheoryNonsmoothData(delta=0.1, kappa=kappa), h)
 counts = [(rec.n, rec.label) for rec in traj.records]
 print("per-step iteration counts (step, M_n):")
 print("  early:", counts[:8])

@@ -10,9 +10,8 @@ from .cq import TimeGrid, WeightTable, frac_apply, gen_weights, rl_integral_orac
 from .errors import ConfigurationError, NumericsError
 from .fem import (FemSystem, Mesh2D, assemble, build_mesh, l2_norm, l2_project,
                   load_vector, ritz_project)
-from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
-                        MgHierarchy, build_hierarchy, estimate_contraction,
-                        smooth, vcycle)
+from .multigrid import (DampedJacobi, GaussSeidelForward, MgHierarchy,
+                        build_hierarchy, cycle_norm, smooth, vcycle)
 from .stepping import (ExactSchedule, L2Projected, LogSchedule, ProblemSpec,
                        SeparableSource, TheoryNonsmoothData, TheorySmoothData,
                        Trajectory, ZeroInit, error_report, run_exact, run_iis,
@@ -25,8 +24,8 @@ __all__ = [
     "ConfigurationError", "NumericsError",
     "Mesh2D", "FemSystem", "build_mesh", "assemble", "load_vector",
     "l2_project", "ritz_project", "l2_norm",
-    "DampedJacobi", "GaussSeidelForward", "MgHierarchy", "ContractionParams",
-    "build_hierarchy", "vcycle", "smooth", "estimate_contraction",
+    "DampedJacobi", "GaussSeidelForward", "MgHierarchy",
+    "build_hierarchy", "vcycle", "smooth", "cycle_norm",
     "ProblemSpec", "ZeroInit", "L2Projected",
     "SeparableSource",
     "ExactSchedule", "LogSchedule",

@@ -23,9 +23,8 @@ import numpy as np
 from .cq import TimeGrid, gen_weights
 from .errors import ConfigurationError
 from .fem import assemble, build_mesh
-from .multigrid import (ContractionParams, DampedJacobi, GaussSeidelForward,
-                        build_hierarchy, check_cycle, estimate_contraction,
-                        level_sizes)
+from .multigrid import (DampedJacobi, GaussSeidelForward, build_hierarchy,
+                        check_cycle, cycle_norm, level_sizes)
 from .stepping import (ExactSchedule, L2Projected, LogSchedule, ProblemSpec,
                        Schedule, SeparableSource, TheoryNonsmoothData,
                        TheorySmoothData, ZeroInit, error_report, run_exact,
@@ -88,12 +87,11 @@ class ExperimentConfig:
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed}")
         check_cycle(self.nu1, self.nu2, self.K0)
-        # Build each row once, theory rows with a stand-in pair, so that a bad
+        # Build each row once, theory rows with a stand-in kappa, so that a bad
         # row or startup count fails here and not after a reference run.  The
         # stock rows are valid; "exact" still checks the startup count.
-        stand_in = ContractionParams(c0=1.0, kappa=0.5)
         for text in self.schedules or ("exact",):
-            parse_schedule(text, self.startup_exact, stand_in)
+            parse_schedule(text, self.startup_exact, 0.5)
         rows = [text.strip() for text in self.schedules]
         if len(set(rows)) != len(rows):
             raise ConfigurationError(f"schedule rows must be distinct, got {self.schedules}")
@@ -108,13 +106,12 @@ class ExperimentConfig:
                 f"startup={self.startup_exact} refN={self.ref_N} K0={self.K0}")
 
 
-def parse_schedule(text: str, startup: int,
-                   contraction: ContractionParams | None = None) -> Schedule:
+def parse_schedule(text: str, startup: int, kappa: float | None = None) -> Schedule:
     """Build the schedule a row spec names, solving steps 1..startup exactly.
 
     Accepted forms: ``exact``, ``fixed:m``, ``log:a,b``,
     ``theory-smooth:delta``, ``theory-nonsmooth:delta``; the theory rows need
-    the measured ``contraction`` pair.
+    the V-cycle's contraction ``kappa`` (``multigrid.cycle_norm``).
     """
     text = text.strip()
     kind, _, arg = text.partition(":")
@@ -128,7 +125,7 @@ def parse_schedule(text: str, startup: int,
             return LogSchedule(a=int(a), b=int(b), exact_startup_steps=startup)
         if kind in ("theory-smooth", "theory-nonsmooth"):
             cls = TheorySmoothData if kind == "theory-smooth" else TheoryNonsmoothData
-            return cls(delta=float(arg), params=contraction, exact_startup_steps=startup)
+            return cls(delta=float(arg), kappa=kappa, exact_startup_steps=startup)
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(f"bad schedule {text!r}: {exc}") from exc
     raise ConfigurationError(f"unknown schedule spec {text!r}")
@@ -206,25 +203,24 @@ class ErrorTable:
 
 @dataclass
 class ContractionReport:
-    """Measured (kappa, c0) per (alpha, N, smoother) cell at fixed K."""
+    """kappa = |E|_B of the V-cycle per (alpha, N, smoother) cell at fixed K."""
 
     meta: str
-    rows: list = field(default_factory=list)  # (alpha, tau, K, smoother, nu1, nu2, kappa, c0)
+    rows: list = field(default_factory=list)  # (alpha, tau, K, smoother, nu1, nu2, kappa)
 
     def to_csv(self) -> str:
-        lines = [self.meta, "alpha,tau,K,smoother,nu1,nu2,kappa,c0"]
-        for alpha, tau, K, sm, nu1, nu2, kappa, c0 in sorted(self.rows):
-            lines.append(f"{alpha:.5e},{tau:.5e},{K},{sm},{nu1},{nu2},"
-                         f"{kappa:.5e},{c0:.5e}")
+        lines = [self.meta, "alpha,tau,K,smoother,nu1,nu2,kappa"]
+        for alpha, tau, K, sm, nu1, nu2, kappa in sorted(self.rows):
+            lines.append(f"{alpha:.5e},{tau:.5e},{K},{sm},{nu1},{nu2},{kappa:.5e}")
         return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
         out = [self.meta.lstrip("# "), "",
-               "| alpha | tau | K | smoother | nu1 | nu2 | kappa | c0 |",
-               "|---|---|---|---|---|---|---|---|"]
-        for alpha, tau, K, sm, nu1, nu2, kappa, c0 in sorted(self.rows):
+               "| alpha | tau | K | smoother | nu1 | nu2 | kappa |",
+               "|---|---|---|---|---|---|---|"]
+        for alpha, tau, K, sm, nu1, nu2, kappa in sorted(self.rows):
             out.append(f"| {alpha:g} | {tau:.4e} | {K} | {sm} | {nu1} | {nu2} "
-                       f"| {kappa:.3e} | {c0:.3f} |")
+                       f"| {kappa:.3e} |")
         return "\n".join(out) + "\n"
 
 
@@ -257,14 +253,14 @@ def _run_example(cfg: ExperimentConfig, example: int, default_rows) -> ErrorTabl
         ref = _reference_final(cfg, sys, example, alpha)
         for N in cfg.Ns:
             spec = example_problem(example, sys, alpha, N, T)
-            hierarchy = contraction = None
+            hierarchy = kappa = None
             if any(label != "exact" for label in rows):
                 hierarchy = build_hierarchy(sys, spec.grid.tau, alpha, smoother,
                                             cfg.nu1, cfg.nu2, cfg.K0)
             if any(label.startswith("theory") for label in rows):
-                contraction = estimate_contraction(hierarchy, seed=cfg.seed)
+                kappa = cycle_norm(hierarchy, seed=cfg.seed)
             for label in rows:
-                schedule = parse_schedule(label, cfg.startup_exact, contraction)
+                schedule = parse_schedule(label, cfg.startup_exact, kappa)
                 t0 = time.perf_counter()
                 traj = run_iis(spec, schedule, hierarchy)
                 err = error_report(traj, ref, sys)
@@ -283,7 +279,7 @@ def run_example2(cfg: ExperimentConfig) -> ErrorTable:
 
 
 def run_contraction_sweep(cfg: ExperimentConfig) -> ContractionReport:
-    """Measure (kappa, c0) for both smoothers over the (alpha, N) grid.
+    """kappa = |E|_B of the V-cycle for both smoothers over the (alpha, N) grid.
 
     Raises NumericsError (exit code 3 in the CLI) if any cell fails to
     contract.
@@ -296,9 +292,8 @@ def run_contraction_sweep(cfg: ExperimentConfig) -> ContractionReport:
             for smoother in (GaussSeidelForward(), DampedJacobi(omega=cfg.omega)):
                 h = build_hierarchy(sys, tau, alpha, smoother,
                                     cfg.nu1, cfg.nu2, cfg.K0)
-                params = estimate_contraction(h, seed=cfg.seed)
                 report.rows.append((alpha, tau, cfg.K, smoother.name, cfg.nu1,
-                                    cfg.nu2, params.kappa, params.c0))
+                                    cfg.nu2, cycle_norm(h, seed=cfg.seed)))
     return report
 
 

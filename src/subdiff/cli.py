@@ -18,34 +18,34 @@ from .bench import (FORMATS, ExperimentConfig, run_contraction_sweep, run_exampl
 from .errors import ConfigurationError, NumericsError
 
 # The settings of the table commands, one entry each: (flag and config-file
-# key, ExperimentConfig field, value type, help).  A field whose default is a
-# tuple takes a repeatable flag and a list value in the file.  Fields given
-# neither way keep ExperimentConfig's defaults.
+# key, ExperimentConfig field, value type, help, whether the contraction sweep
+# reads it; it offers no other).  A tuple-valued field takes a repeatable flag
+# and a list value in the file.  Fields given neither way keep the defaults.
 SETTINGS = (
-    ("alpha", "alphas", float, "fractional order; repeatable"),
-    ("N", "Ns", int, "time step count; repeatable"),
-    ("K", "K", int, "subdivisions per side"),
-    ("cA", "c_A", float, "diffusivity c in A = -c*Laplacian"),
-    ("smoother", "smoother", str, "V-cycle smoother: gs | jacobi"),
-    ("omega", "omega", float, "Jacobi damping"),
-    ("nu1", "nu1", int, "pre-smoothing sweeps"),
-    ("nu2", "nu2", int, "post-smoothing sweeps"),
+    ("alpha", "alphas", float, "fractional order; repeatable", True),
+    ("N", "Ns", int, "time step count; repeatable", True),
+    ("K", "K", int, "subdivisions per side", True),
+    ("cA", "c_A", float, "diffusivity c in A = -c*Laplacian", True),
+    ("smoother", "smoother", str, "V-cycle smoother: gs | jacobi", False),
+    ("omega", "omega", float, "Jacobi damping", True),
+    ("nu1", "nu1", int, "pre-smoothing sweeps", True),
+    ("nu2", "nu2", int, "post-smoothing sweeps", True),
     ("schedule", "schedules", str, "row schedule: exact | fixed:m | log:a,b | "
-                                   "theory-smooth:delta | theory-nonsmooth:delta; repeatable"),
-    ("startup-exact", "startup_exact", int, "steps solved exactly before iterating"),
-    ("ref-N", "ref_N", int, "steps of the fine reference run"),
-    ("ref-file", "ref_file", str, ".npy file holding the final-time reference vector"),
-    ("K0", "K0", int, "coarsest hierarchy level"),
-    ("seed", "seed", int, "random seed for contraction probes"),
+     "theory-smooth:delta | theory-nonsmooth:delta; repeatable", False),
+    ("startup-exact", "startup_exact", int, "steps solved exactly before iterating", False),
+    ("ref-N", "ref_N", int, "steps of the fine reference run", False),
+    ("ref-file", "ref_file", str, ".npy file holding the final-time reference vector", False),
+    ("K0", "K0", int, "coarsest hierarchy level", True),
+    ("seed", "seed", int, "seed of the Lanczos start vector of the V-cycle norm", True),
 )
 _DEFAULTS = ExperimentConfig()
-_FILE_KEYS = {flag for flag, *_ in SETTINGS} | {"format", "out"}
 PAPER_SCALE_K = 128
 _YES, _NO = ("1", "true", "yes"), ("0", "false", "no")
 
 
-def _add_common(p):
-    for flag, field, cast, text in SETTINGS:
+def _add_common(p, settings):
+    p.set_defaults(settings=settings)  # the SETTINGS entries this command offers
+    for flag, field, cast, text, _ in settings:
         default = getattr(_DEFAULTS, field)
         many = isinstance(default, tuple)
         if default not in (None, ()):
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, doc in (("example1", "smooth-solution convergence table"),
                       ("example2", "nonsmooth-data convergence table"),
                       ("contraction", "multigrid contraction sweep")):
-        _add_common(sub.add_parser(name, help=doc))
+        settings = [s for s in SETTINGS if s[4] or name != "contraction"]
+        _add_common(sub.add_parser(name, help=doc), settings)
     wd = sub.add_parser("weights-dump", help="dump CQ weights with their bound")
     wd.add_argument("--gamma", type=float, required=True)
     wd.add_argument("--n-max", type=int, dest="n_max", required=True)
@@ -104,11 +105,11 @@ def _read_config_file(path: str) -> dict:
 
 def _given(args: argparse.Namespace, file_vals: dict) -> dict:
     """ExperimentConfig fields given by flags or, failing that, the file."""
-    unknown = sorted(set(file_vals) - _FILE_KEYS)
+    unknown = sorted(set(file_vals) - {s[0] for s in args.settings} - {"format", "out"})
     if unknown:
         raise ConfigurationError(f"unknown config key(s): {', '.join(unknown)}")
     given = {}
-    for flag, field, cast, _ in SETTINGS:
+    for flag, field, cast, *_ in args.settings:
         many = isinstance(getattr(_DEFAULTS, field), tuple)
         if flag in file_vals:
             raw = file_vals[flag]

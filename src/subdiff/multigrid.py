@@ -7,9 +7,9 @@ Residuals are restricted with P', corrections prolonged with P (nodal linear
 interpolation), and the coarsest system is solved by a direct factorization.
 
 One V(nu1, nu2) cycle is the unit of work the time stepper counts as one
-inner iteration.  Its error propagation contracts in the energy-like norm
-|x| = sqrt(x' B x); ``estimate_contraction`` measures the contraction pair
-(c0, kappa) from PROBE_CYCLES cycles on B x = 0 from PROBE_TRIALS random starts.
+inner iteration.  Its error propagation E contracts in the energy-like norm
+|x| = sqrt(x' B x); ``cycle_norm`` returns kappa = |E|_B from the adjoint cycle,
+so m cycles shrink any error by at most kappa^m.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ __all__ = [
     "GaussSeidelForward",
     "GridLevel",
     "MgHierarchy",
-    "ContractionParams",
     "build_hierarchy",
     "prolongation_matrix",
     "level_sizes",
@@ -34,7 +33,7 @@ __all__ = [
     "smooth",
     "vcycle",
     "DirectSolver",
-    "estimate_contraction",
+    "cycle_norm",
 ]
 
 
@@ -53,6 +52,10 @@ class DampedJacobi:
     def sweep(self, level, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return x + self.omega * (rhs - level.B @ x) / level.diag
 
+    def adjoint(self):
+        """The B-adjoint sweep: a damped Jacobi sweep is B-self-adjoint."""
+        return self
+
 
 @dataclass(frozen=True)
 class GaussSeidelForward:
@@ -63,26 +66,19 @@ class GaussSeidelForward:
     def sweep(self, level, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return level.lower_solve.solve(rhs - level.upper @ x)
 
+    def adjoint(self):
+        """The B-adjoint sweep, backward: x <- x + L^-T (rhs - B x), L = tril(B)."""
+        return _GaussSeidelBackward()
+
+
+class _GaussSeidelBackward:
+    """One backward Gauss-Seidel sweep; it reuses the forward sweep's factor."""
+
+    def sweep(self, level, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return x + level.lower_solve.solve(rhs - level.B @ x, trans="T")
+
 
 Smoother = DampedJacobi | GaussSeidelForward
-
-PROBE_TRIALS = 5  # random starts of estimate_contraction
-PROBE_CYCLES = 8  # V-cycles from each start
-
-
-@dataclass(frozen=True)
-class ContractionParams:
-    """Pair (c0, kappa) such that m inner iterations reduce the weighted-norm
-    error by at most c0 * kappa^m."""
-
-    c0: float
-    kappa: float
-
-    def __post_init__(self):
-        if not 0.0 < self.kappa < 1.0:
-            raise ConfigurationError(f"kappa must lie in (0, 1), got {self.kappa}")
-        if not self.c0 >= 1.0:
-            raise ConfigurationError(f"c0 must be >= 1, got {self.c0}")
 
 
 class GridLevel:
@@ -248,33 +244,34 @@ class DirectSolver:
         return self._factor.solve(rhs)
 
 
-def estimate_contraction(h: MgHierarchy, seed: int = 0) -> ContractionParams:
-    """Measure (c0, kappa) of the V-cycle in the weighted norm.
+def cycle_norm(h: MgHierarchy, seed: int = 0) -> float:
+    """kappa = |E|_B, the V-cycle's error propagation E in the weighted norm.
 
-    Runs B x = 0 from random starts; kappa is the largest per-cycle norm
-    ratio after the first cycle, c0 the largest r_m / kappa^m (at least 1).
-    A norm at or below 1e-12 of its start is rounding noise: no ratio divides
-    by it and it sets no c0.  Raises unless the iteration contracts and every
-    norm is finite.
+    kappa^2 is the top eigenvalue of E*E, where the B-adjoint E* is the cycle
+    with each sweep replaced by its adjoint and nu1, nu2 swapped; so m cycles
+    shrink any error by at most kappa^m.  Lanczos (ARPACK) on B E*E x = lam B x
+    starts from a ``seed``-drawn vector, so the result is deterministic.
+    Raises NumericsError unless 0 < kappa < 1 and every product is finite.
     """
-    dim = h.fine.B.shape[0]
-    zero = np.zeros(dim)
-    rng = np.random.default_rng(seed)
-    norms = np.empty((PROBE_TRIALS, PROBE_CYCLES + 1))
-    for trial in norms:
-        x = rng.standard_normal(dim)
-        trial[0] = h.weighted_norm(x)
-        for m in range(1, PROBE_CYCLES + 1):
-            x = vcycle(h, x, zero)
-            trial[m] = h.weighted_norm(x)
-    live = norms > 1e-12 * norms[:, :1]
-    prev = live[:, 1:-1]  # the earlier norm of each ratio after the first cycle
-    kappa = float(np.max(norms[:, 2:][prev] / norms[:, 1:-1][prev], initial=0.0))
-    if not (kappa < 1.0 and np.isfinite(norms).all()):
-        raise NumericsError(
-            f"iteration is not contracting or not finite: measured kappa = {kappa:.4f}")
-    kappa = max(kappa, 1e-12)
-    # Python's pow, not numpy's array power, which may differ in the last bit
-    decay = norms[:, 1:] / norms[:, :1] / [kappa ** m for m in range(1, PROBE_CYCLES + 1)]
-    c0 = float(np.max(decay[live[:, 1:]], initial=1.0))
-    return ContractionParams(c0=c0, kappa=kappa)
+    B = h.fine.B
+    adj = MgHierarchy(h.levels, h.prolongations, h.coarse_lu,
+                      h.smoother.adjoint(), h.nu2, h.nu1)
+    zero = np.zeros(B.shape[0])
+
+    def apply(x):
+        y = B @ vcycle(adj, vcycle(h, x, zero), zero)
+        if not np.isfinite(y).all():
+            raise NumericsError("V-cycle produced a non-finite value in the cycle norm")
+        return y
+
+    op = spla.LinearOperator(B.shape, matvec=apply, dtype=float)
+    inv = spla.LinearOperator(B.shape, matvec=Factor(B).solve, dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(B.shape[0])
+    try:
+        lam = spla.eigsh(op, k=1, M=B, Minv=inv, which="LA", v0=v0, tol=1e-10,
+                         return_eigenvectors=False)[0]
+    except spla.ArpackError as exc:
+        raise NumericsError(f"cycle norm did not converge: {exc}") from exc
+    if not 0.0 < lam < 1.0:  # so 0 < kappa < 1; fails for NaN
+        raise NumericsError(f"V-cycle is not contracting: |E|_B^2 = {lam:.4g}")
+    return float(np.sqrt(lam))

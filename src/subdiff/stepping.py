@@ -25,7 +25,7 @@ import numpy as np
 from .cq import History, TimeGrid, gen_weights
 from .errors import ConfigurationError, NumericsError
 from .fem import FemSystem, l2_norm, l2_project, load_vector
-from .multigrid import ContractionParams, DirectSolver, MgHierarchy, vcycle
+from .multigrid import DirectSolver, MgHierarchy, vcycle
 
 __all__ = [
     "ZeroInit",
@@ -153,28 +153,26 @@ class LogSchedule(Schedule):
 
 @dataclass(frozen=True)
 class _TheorySchedule(Schedule):
-    """Smallest M_n with c0 kappa^M_n <= target(t_n, ell_n, alpha), where
-    ell_n = ln(1 + t_n/tau) and (c0, kappa) are measured."""
+    """Smallest M_n with kappa^M_n <= target(t_n, ell_n, alpha), where
+    ell_n = ln(1 + t_n/tau) and kappa = |E|_B from ``multigrid.cycle_norm``."""
 
     delta: float
-    params: ContractionParams
+    kappa: float
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
-        if not isinstance(self.params, ContractionParams):
-            raise ConfigurationError("theory schedules need measured ContractionParams")
+        for name, v in (("delta", self.delta), ("kappa", self.kappa)):
+            if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
+                raise ConfigurationError(f"{name} must lie in (0, 1), got {v}")
 
     def iters(self, t_n: float, tau: float, alpha: float) -> int:
         target = self.target(t_n, math.log(1.0 + t_n / tau), alpha)
-        c0, kappa = self.params.c0, self.params.kappa
-        return max(1, math.ceil(math.log(target / c0) / math.log(kappa)))
+        return max(1, math.ceil(math.log(target) / math.log(self.kappa)))
 
 
 @dataclass(frozen=True)
 class TheorySmoothData(_TheorySchedule):
-    """Smallest M_n with c0 kappa^M_n <= delta * min(t_n^(alpha/2), 1) / ln(1 + t_n/tau).
+    """Smallest M_n with kappa^M_n <= delta * min(t_n^(alpha/2), 1) / ln(1 + t_n/tau).
 
     The demand matching the error bound for energy-projected smooth initial
     data.  It is weaker than the nonsmooth demand at early times, but the
@@ -188,7 +186,7 @@ class TheorySmoothData(_TheorySchedule):
 
 @dataclass(frozen=True)
 class TheoryNonsmoothData(_TheorySchedule):
-    """Smallest M_n with c0 kappa^M_n <= delta * min(t_n, 1) / ln(1 + t_n/tau).
+    """Smallest M_n with kappa^M_n <= delta * min(t_n, 1) / ln(1 + t_n/tau).
 
     The stronger early-time demand for L2-projected (rough) initial data.
     """

@@ -16,7 +16,6 @@ from subdiff.bench import (ContractionReport, ErrorTable, ExperimentConfig,
                            weight_table_csv)
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import assemble, build_mesh
-from subdiff.multigrid import ContractionParams
 from subdiff.stepping import (ExactSchedule, LogSchedule, TheoryNonsmoothData,
                               TheorySmoothData)
 
@@ -72,19 +71,39 @@ def test_cli_contraction_needs_no_reference(tmp_path):
     assert len(out.read_text().splitlines()) == 4  # meta, header, two smoothers
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("smoother", "jacobi"), ("schedule", "log:3,6"), ("startup-exact", "5"),
+    ("ref-N", "1"), ("ref-file", "/nonexistent.npy")])
+def test_cli_contraction_refuses_settings_it_never_reads(tmp_path, monkeypatch, flag, value):
+    """The sweep runs both smoothers, no rows and no reference: each such
+    setting exits 2 before any run, as a flag or as a config key.  The
+    example tables still take it."""
+    def never(cfg):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "run_contraction_sweep", never)
+    base = ["contraction", "--K", "8", "--N", "10"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(base + [f"--{flag}", value])
+    assert exc.value.code == 2
+    path = tmp_path / "bench.cfg"
+    path.write_text(f"{flag}={value}\n")
+    assert cli.main(base + ["--config", str(path)]) == 2
+    cli.build_parser().parse_args(["example1", f"--{flag}", value])  # no SystemExit
+
+
 def test_parse_schedule_forms():
-    params = ContractionParams(c0=1.5, kappa=0.3)
     assert parse_schedule("exact", 2) == ExactSchedule(exact_startup_steps=2)
     assert parse_schedule(" fixed:4 ", 3) == LogSchedule(a=4, exact_startup_steps=3)
     assert parse_schedule("log:3,6", 2) == LogSchedule(a=3, b=6)
-    assert parse_schedule("theory-smooth:0.1", 2, params) == TheorySmoothData(
-        delta=0.1, params=params)
-    assert parse_schedule("theory-nonsmooth:0.2", 1, params) == TheoryNonsmoothData(
-        delta=0.2, params=params, exact_startup_steps=1)
+    assert parse_schedule("theory-smooth:0.1", 2, 0.3) == TheorySmoothData(
+        delta=0.1, kappa=0.3)
+    assert parse_schedule("theory-nonsmooth:0.2", 1, 0.3) == TheoryNonsmoothData(
+        delta=0.2, kappa=0.3, exact_startup_steps=1)
     for bad in ("fixed", "fixed:x", "log:1", "nope:3", "exact:1", "fixed:0",
                 "log:0,0", "theory-smooth:1.5"):
         with pytest.raises(ConfigurationError):
-            parse_schedule(bad, 2, params)
+            parse_schedule(bad, 2, 0.3)
     with pytest.raises(ConfigurationError):
         parse_schedule("exact", 0)  # the startup count is checked by every row
     with pytest.raises(ConfigurationError):
@@ -239,12 +258,10 @@ def test_contraction_sweep_small():
     by_smoother = {row[3]: row for row in report.rows}
     assert set(by_smoother) == {"gs", "jacobi"}
     for row in report.rows:
-        kappa, c0 = row[6], row[7]
-        assert 0.0 < kappa < 1.0
-        assert c0 >= 1.0
+        assert len(row) == 7 and 0.0 < row[6] < 1.0
     assert by_smoother["gs"][6] < by_smoother["jacobi"][6]
     text = report.to_csv()
-    assert text.splitlines()[1] == "alpha,tau,K,smoother,nu1,nu2,kappa,c0"
+    assert text.splitlines()[1] == "alpha,tau,K,smoother,nu1,nu2,kappa"
     assert run_contraction_sweep(cfg).to_csv() == text
 
 

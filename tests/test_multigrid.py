@@ -1,9 +1,8 @@
-"""V-cycle hierarchy, smoothers, direct solver, contraction estimation."""
-
-import itertools
+"""V-cycle hierarchy, smoothers, direct solver, the cycle's contraction norm."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,7 @@ import subdiff.multigrid as multigrid
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import Factor, FemSystem, assemble, build_mesh
 from subdiff.multigrid import (DampedJacobi, DirectSolver, GaussSeidelForward,
-                               GridLevel, build_hierarchy, estimate_contraction,
+                               GridLevel, MgHierarchy, build_hierarchy, cycle_norm,
                                prolongation_matrix, smooth, vcycle)
 from test_fem import hat_function
 
@@ -124,8 +123,7 @@ def test_vcycle_fixed_point(hier32_gs):
 
 
 def test_vcycle_strict_contraction_on_homogeneous_system(hier32_gs):
-    params = estimate_contraction(hier32_gs, seed=0)
-    bound = params.kappa * 1.05
+    bound = cycle_norm(hier32_gs) * (1.0 + 1e-10)
     rng = np.random.default_rng(1)
     zero = np.zeros(hier32_gs.fine.B.shape[0])
     for _ in range(100):
@@ -254,7 +252,76 @@ def test_direct_solver_residual_K64():
     assert np.linalg.norm(rhs - B @ x) <= 1e-12 * np.linalg.norm(rhs)
 
 
-# ----------------------------------------------------------- contraction
+# ----------------------------------------------------------- cycle norm
+
+
+def adjoint_hierarchy(h):
+    """The hierarchy whose V-cycle is the B-adjoint E* of h's cycle E."""
+    return MgHierarchy(h.levels, h.prolongations, h.coarse_lu,
+                       h.smoother.adjoint(), h.nu2, h.nu1)
+
+
+@pytest.fixture(scope="module")
+def small_systems():
+    return {K: assemble(build_mesh(K), 5.0) for K in (8, 16)}
+
+
+_smoothers = st.sampled_from([GaussSeidelForward(), DampedJacobi(),
+                              DampedJacobi(omega=1.0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.sampled_from([8, 16]), tau=st.floats(1e-4, 1.0), alpha=st.floats(0.05, 0.95),
+       smoother=_smoothers, nu=st.sampled_from([(1, 1), (2, 0), (0, 1), (1, 2), (2, 2)]),
+       seed=st.integers(0, 2**16))
+def test_adjoint_cycle_is_the_b_adjoint(small_systems, K, tau, alpha, smoother, nu, seed):
+    """<E x, y>_B = <x, E* y>_B, with E* the cycle of adjoint sweeps and
+    swapped sweep counts."""
+    h = build_hierarchy(small_systems[K], tau, alpha, smoother, *nu)
+    adj = adjoint_hierarchy(h)
+    B = h.fine.B
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, B.shape[0]))
+    zero = np.zeros(B.shape[0])
+    lhs = vcycle(h, x, zero) @ (B @ y)
+    rhs = x @ (B @ vcycle(adj, y, zero))
+    assert abs(lhs - rhs) <= 1e-12 * h.weighted_norm(x) * h.weighted_norm(y)
+
+
+def dense_cycle_norm(h):
+    """|R E R^-1|_2 with B = R'R, from the cycle's dense error propagation."""
+    B = h.fine.B.toarray()
+    zero = np.zeros(len(B))
+    E = np.column_stack([vcycle(h, e, zero) for e in np.eye(len(B))])
+    R = sla.cholesky(B)
+    return np.linalg.norm(R @ E @ np.linalg.inv(R), 2)
+
+
+@pytest.mark.parametrize("smoother", [GaussSeidelForward(), DampedJacobi(),
+                                      DampedJacobi(omega=1.0)], ids=lambda s: repr(s))
+@pytest.mark.parametrize("tau, alpha", [(0.1, 0.2), (1.0 / 320, 0.8), (1.0 / 5120, 0.5)])
+@pytest.mark.parametrize("K", [8, 16])
+def test_cycle_norm_matches_dense_oracle(small_systems, K, tau, alpha, smoother):
+    for nu1, nu2 in ((1, 1), (2, 0), (0, 1)):
+        h = build_hierarchy(small_systems[K], tau, alpha, smoother, nu1, nu2)
+        assert cycle_norm(h) == pytest.approx(dense_cycle_norm(h), rel=1e-8)
+
+
+def test_cycle_norm_bounds_every_one_cycle_ratio(hier32_gs, hier32_jac):
+    """No start, random or pushed towards the worst case by steps of the
+    power iteration on E*E, shrinks by less than kappa in one cycle."""
+    rng = np.random.default_rng(7)
+    for h in (hier32_gs, hier32_jac):
+        kappa, adj = cycle_norm(h), adjoint_hierarchy(h)
+        zero = np.zeros(h.fine.B.shape[0])
+        worst = 0.0
+        for _ in range(20):
+            x = rng.standard_normal(len(zero))
+            for _ in range(5):
+                worst = max(worst, h.weighted_norm(vcycle(h, x, zero)) / h.weighted_norm(x))
+                x = vcycle(adj, vcycle(h, x, zero), zero)
+        assert worst <= kappa * (1.0 + 1e-10)
+        assert worst >= 0.9 * kappa  # the worst start found comes close
 
 
 def test_contraction_estimate_exact_solver_floor(sys32, monkeypatch):
@@ -267,96 +334,26 @@ def test_contraction_estimate_exact_solver_floor(sys32, monkeypatch):
         return x - solver.solve(B @ x)
 
     monkeypatch.setattr(multigrid, "vcycle", exact_step)
-    params = estimate_contraction(h, seed=0)
-    assert params.kappa == pytest.approx(1e-12)
-    assert params.c0 == 1.0
+    assert 0.0 < cycle_norm(h) < 1e-12
 
 
 def test_gs_contracts_faster_than_jacobi(hier32_gs, hier32_jac):
-    gs = estimate_contraction(hier32_gs, seed=0)
-    jac = estimate_contraction(hier32_jac, seed=0)
-    assert 0.0 < gs.kappa < jac.kappa < 1.0
-    assert gs.c0 >= 1.0 and jac.c0 >= 1.0
+    assert 0.0 < cycle_norm(hier32_gs) < cycle_norm(hier32_jac) < 1.0
+
+
+def test_cycle_norm_is_deterministic_per_seed(hier32_gs):
+    assert cycle_norm(hier32_gs, seed=3) == cycle_norm(hier32_gs, seed=3)
+    assert cycle_norm(hier32_gs, seed=3) == pytest.approx(cycle_norm(hier32_gs), rel=1e-8)
 
 
 def test_non_contracting_iteration_raises(hier32_gs, monkeypatch):
     monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: 1.1 * x)
-    with pytest.raises(NumericsError):
-        estimate_contraction(hier32_gs, seed=0)
+    with pytest.raises(NumericsError, match="not contracting"):
+        cycle_norm(hier32_gs, seed=0)
 
 
 def test_non_finite_probe_raises(hier32_gs, monkeypatch):
-    # a NaN after the first cycle must not read as perfect contraction
+    # the cycle's own finiteness check raises, before any direct solve sees a NaN
     monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: np.full_like(x, np.nan))
-    with pytest.raises(NumericsError):
-        estimate_contraction(hier32_gs, seed=0)
-
-
-def two_pass_contraction(h, trials=5, cycles=8, seed=0):
-    """The two-pass probe that the one-pass estimate_contraction replaced,
-    kept as its oracle: kappa from per-trial norm lists, then c0 from a
-    second pass over the stored lists."""
-    dim = h.fine.B.shape[0]
-    zero = np.zeros(dim)
-    rng = np.random.default_rng(seed)
-    kappa = 0.0
-    histories = []
-    for _ in range(trials):
-        x = rng.standard_normal(dim)
-        n0 = h.weighted_norm(x)
-        norms = [n0]
-        for _ in range(cycles):
-            x = multigrid.vcycle(h, x, zero)
-            norms.append(h.weighted_norm(x))
-        histories.append(norms)
-        floor = 1e-12 * n0
-        for m in range(2, cycles + 1):
-            if norms[m - 1] > floor:
-                kappa = max(kappa, norms[m] / norms[m - 1])
-    assert kappa < 1.0
-    kappa = max(kappa, 1e-12)
-    c0 = 1.0
-    for norms in histories:
-        n0 = norms[0]
-        if n0 == 0.0:
-            continue
-        for m in range(1, cycles + 1):
-            if norms[m] > 1e-12 * n0:
-                c0 = max(c0, (norms[m] / n0) / kappa ** m)
-    return c0, kappa
-
-
-@pytest.mark.parametrize("smoother", [GaussSeidelForward(), DampedJacobi(),
-                                      DampedJacobi(omega=1.0)], ids=lambda s: repr(s))
-@pytest.mark.parametrize("tau, alpha", [(0.1, 0.2), (1.0 / 320, 0.8)])
-def test_contraction_matches_two_pass_oracle(sys32, smoother, tau, alpha):
-    h = build_hierarchy(sys32, tau, alpha, smoother)
-    for seed in (0, 3):
-        params = estimate_contraction(h, seed=seed)
-        assert (params.c0, params.kappa) == two_pass_contraction(h, seed=seed)
-
-
-@pytest.mark.parametrize("scale", [{0: 30.0}, {1: 1e-13, 2: 5e14}],
-                         ids=["grow-first", "drop-below-floor-and-revive"])
-def test_contraction_matches_two_pass_oracle_above_c0_floor(hier32_gs, hier32_jac,
-                                                            monkeypatch, scale):
-    """Cycles scaled by scale[k] at the k-th cycle of each start give c0 > 1:
-    growing the first cycle 30-fold puts c0 at m = 1; dropping a norm below
-    the 1e-12 floor and reviving it puts c0 at m = 3, where kappa**3 must be
-    Python's pow.  Both probes must agree bit for bit."""
-    real = multigrid.vcycle
-
-    def patch():
-        calls = itertools.count()
-
-        def cycle(h, x, rhs):
-            return scale.get(next(calls) % multigrid.PROBE_CYCLES, 1.0) * real(h, x, rhs)
-        monkeypatch.setattr(multigrid, "vcycle", cycle)
-
-    for h in (hier32_gs, hier32_jac):
-        for seed in range(5):
-            patch()
-            params = estimate_contraction(h, seed=seed)
-            patch()
-            assert (params.c0, params.kappa) == two_pass_contraction(h, seed=seed)
-            assert params.c0 > 1.0
+    with pytest.raises(NumericsError, match="V-cycle produced a non-finite value"):
+        cycle_norm(hier32_gs, seed=0)

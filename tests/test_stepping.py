@@ -14,9 +14,8 @@ from subdiff.bench import example_problem
 from subdiff.cq import HISTORY_BLOCK, TimeGrid, gen_weights, rl_integral_oracle
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import FemSystem, assemble, build_mesh, l2_norm
-from subdiff.multigrid import (ContractionParams, DirectSolver,
-                               GaussSeidelForward, build_hierarchy,
-                               estimate_contraction)
+from subdiff.multigrid import (DirectSolver, GaussSeidelForward,
+                               build_hierarchy, cycle_norm)
 from subdiff.stepping import (ExactSchedule, LogSchedule, ProblemSpec,
                               SeparableSource, TheoryNonsmoothData,
                               TheorySmoothData, ZeroInit, error_report,
@@ -140,15 +139,14 @@ def test_schedule_validation():
         LogSchedule(a=0, b=0)
     with pytest.raises(ConfigurationError):
         LogSchedule(a=-1, b=2)
-    params = ContractionParams(c0=1.0, kappa=0.5)
     with pytest.raises(ConfigurationError):
-        TheorySmoothData(delta=0.0, params=params)
+        TheorySmoothData(delta=0.0, kappa=0.5)
     with pytest.raises(ConfigurationError):
-        TheoryNonsmoothData(delta=1.0, params=params)
-    with pytest.raises(ConfigurationError):
-        ContractionParams(c0=0.5, kappa=0.5)
-    with pytest.raises(ConfigurationError):
-        ContractionParams(c0=2.0, kappa=1.0)
+        TheoryNonsmoothData(delta=1.0, kappa=0.5)
+    for cls in (TheorySmoothData, TheoryNonsmoothData):
+        for kappa in (0.0, 1.0, 1.5, -0.5, float("nan"), None, "0.5"):
+            with pytest.raises(ConfigurationError, match="kappa"):
+                cls(delta=0.1, kappa=kappa)
 
 
 def test_schedule_iters_fixed_and_log():
@@ -163,31 +161,29 @@ def test_schedule_iters_fixed_and_log():
 
 
 def test_schedule_iters_theory_smallest_count():
-    params = ContractionParams(c0=2.0, kappa=0.3)
-    sched = TheoryNonsmoothData(delta=0.1, params=params)
+    kappa = 0.3
+    sched = TheoryNonsmoothData(delta=0.1, kappa=kappa)
     tau = 1.0 / 64.0
     for n in (3, 10, 64):
         t_n = n * tau
         m = schedule_iters(sched, n, t_n, tau, 0.5)
         target = 0.1 * min(t_n, 1.0) / math.log(1.0 + t_n / tau)
-        assert params.c0 * params.kappa**m <= target
+        assert kappa**m <= target
         if m > 1:
-            assert params.c0 * params.kappa ** (m - 1) > target
+            assert kappa ** (m - 1) > target
 
 
 def test_schedule_iters_theory_monotone_nonincreasing():
-    params = ContractionParams(c0=1.5, kappa=0.4)
-    sched = TheoryNonsmoothData(delta=0.2, params=params)
+    sched = TheoryNonsmoothData(delta=0.2, kappa=0.4)
     tau = 1.0 / 128.0
     counts = [schedule_iters(sched, n, n * tau, tau, 0.5) for n in range(3, 129)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 def test_schedule_iters_clamped_at_limit(caplog):
-    params = ContractionParams(c0=1.0, kappa=0.95)
     tau = 1e-6
     for sched in (LogSchedule(a=1, b=1000),
-                  TheoryNonsmoothData(delta=0.01, params=params)):
+                  TheoryNonsmoothData(delta=0.01, kappa=0.95)):
         caplog.clear()
         with caplog.at_level("WARNING", logger="subdiff.stepping"):
             m = schedule_iters(sched, 3, 3 * tau, tau, 0.5)
@@ -195,13 +191,12 @@ def test_schedule_iters_clamped_at_limit(caplog):
         assert any("clamped" in rec.message for rec in caplog.records)
 
 
-_params = st.builds(ContractionParams, c0=st.floats(1.0, 50.0),
-                    kappa=st.floats(0.01, 0.99))
+_kappas = st.floats(0.01, 0.99)
 _schedules = st.one_of(
     st.builds(LogSchedule, a=st.integers(1, 400)),
     st.builds(LogSchedule, a=st.integers(1, 50), b=st.integers(0, 400)),
-    st.builds(TheorySmoothData, delta=st.floats(0.01, 0.99), params=_params),
-    st.builds(TheoryNonsmoothData, delta=st.floats(0.01, 0.99), params=_params),
+    st.builds(TheorySmoothData, delta=st.floats(0.01, 0.99), kappa=_kappas),
+    st.builds(TheoryNonsmoothData, delta=st.floats(0.01, 0.99), kappa=_kappas),
 )
 
 
@@ -223,12 +218,11 @@ def test_schedule_iters_bounded_and_nonincreasing_in_time(sched, N, alpha, T):
 
 
 def test_theory_smooth_uses_weaker_demand():
-    params = ContractionParams(c0=2.0, kappa=0.3)
     tau = 1.0 / 64.0
     t_n = 3 * tau
-    m_smooth = schedule_iters(TheorySmoothData(delta=0.1, params=params),
+    m_smooth = schedule_iters(TheorySmoothData(delta=0.1, kappa=0.3),
                               3, t_n, tau, 0.5)
-    m_rough = schedule_iters(TheoryNonsmoothData(delta=0.1, params=params),
+    m_rough = schedule_iters(TheoryNonsmoothData(delta=0.1, kappa=0.3),
                              3, t_n, tau, 0.5)
     assert m_smooth <= m_rough  # t^(alpha/2) >= t for small t
 
@@ -282,9 +276,8 @@ def test_zero_data_gives_zero_trajectory_for_every_schedule():
     sys = assemble(build_mesh(8), 5.0)
     spec = ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=8), sys=sys)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
-    params = ContractionParams(c0=1.2, kappa=0.3)
     schedules = [ExactSchedule(), LogSchedule(a=2), LogSchedule(a=1, b=1),
-                 TheoryNonsmoothData(delta=0.1, params=params)]
+                 TheoryNonsmoothData(delta=0.1, kappa=0.3)]
     for schedule in schedules:
         traj = run_iis(spec, schedule, h)
         assert np.all(traj.final == 0.0)
@@ -334,7 +327,8 @@ def test_inner_corrections_contract_at_measured_rate():
     sys = assemble(build_mesh(16), 5.0)
     spec = example_problem(2, sys, 0.5, 12)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
-    kappa_hat = estimate_contraction(h, seed=0).kappa
+    # each correction is E applied to the one before, so |E|_B bounds the ratio
+    kappa = cycle_norm(h)
     traj = run_iis(spec, LogSchedule(a=5), h)
     for rec in traj.records:
         if rec.exact:
@@ -342,7 +336,7 @@ def test_inner_corrections_contract_at_measured_rate():
         cors = rec.corrections
         for prev, cur in zip(cors, cors[1:]):
             if prev > 1e-12 * cors[0]:
-                assert cur <= (kappa_hat + 0.05) * prev
+                assert cur <= kappa * (1.0 + 1e-8) * prev
 
 
 def test_run_iis_validates_hierarchy():
