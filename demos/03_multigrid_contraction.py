@@ -9,13 +9,13 @@ used by the benchmarks.
 import numpy as np
 
 from subdiff import (DampedJacobi, GaussSeidelForward, assemble, build_hierarchy,
-                     build_mesh, cycle_norm, vcycle)
+                     build_mesh, cycle_norm, multigrid, vcycle)
 
 sys = assemble(build_mesh(64), 5.0)
 
 print("=== one V-cycle solve, Gauss-Seidel smoothing ===")
 h = build_hierarchy(sys, tau=1.0 / 320, alpha=0.5, smoother=GaussSeidelForward())
-print("levels:", [lev.system.mesh.K for lev in h.levels])
+print("levels:", multigrid.level_sizes(64, 4))
 rng = np.random.default_rng(0)
 x_star = rng.standard_normal(sys.dim)
 rhs = h.fine.B @ x_star

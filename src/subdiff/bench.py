@@ -100,10 +100,15 @@ class ExperimentConfig:
                 f"K={self.K} equals K0: with one level only 'exact' rows can run")
 
     def meta_line(self, command: str) -> str:
+        """The table's first line: the command and the settings it reads; the
+        contraction sweep runs both smoothers, no rows and no reference."""
+        rows = command != "contraction"
         return (f"# subdiff-bench {command} seed={self.seed} K={self.K} "
-                f"cA={self.c_A:.17g} T={T:.17g} smoother={self.smoother} "
-                f"omega={self.omega:.17g} nu1={self.nu1} nu2={self.nu2} "
-                f"startup={self.startup_exact} refN={self.ref_N} K0={self.K0}")
+                f"cA={self.c_A:.17g} T={T:.17g} "
+                + (f"smoother={self.smoother} " if rows else "")
+                + f"omega={self.omega:.17g} nu1={self.nu1} nu2={self.nu2} "
+                + (f"startup={self.startup_exact} refN={self.ref_N} " if rows else "")
+                + f"K0={self.K0}")
 
 
 def parse_schedule(text: str, startup: int, kappa: float | None = None) -> Schedule:

@@ -158,7 +158,10 @@ def _print_timings(table) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return exc.code
     try:
         if args.command == "weights-dump":
             _check_out(args.out)

@@ -83,9 +83,7 @@ def test_cli_contraction_refuses_settings_it_never_reads(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "run_contraction_sweep", never)
     base = ["contraction", "--K", "8", "--N", "10"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(base + [f"--{flag}", value])
-    assert exc.value.code == 2
+    assert cli.main(base + [f"--{flag}", value]) == 2
     path = tmp_path / "bench.cfg"
     path.write_text(f"{flag}={value}\n")
     assert cli.main(base + ["--config", str(path)]) == 2
@@ -325,6 +323,8 @@ def test_cli_configuration_error_exit_code():
     assert cli.main(["example1", "--K", "12", "--N", "5", "--ref-N", "80"]) == 2
     assert cli.main(["example1", "--schedule", "bogus:1", "--N", "5",
                      "--K", "8", "--ref-N", "80"]) == 2
+    assert cli.main(["example1", "--K", "eight"]) == 2  # malformed flag value
+    assert cli.main(["example1", "--help"]) == 0
 
 
 def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch):

@@ -9,16 +9,11 @@ from hypothesis import strategies as st
 
 import subdiff.multigrid as multigrid
 from subdiff.errors import ConfigurationError, NumericsError
-from subdiff.fem import Factor, FemSystem, assemble, build_mesh
+from subdiff.fem import Factor, assemble, build_mesh
 from subdiff.multigrid import (DampedJacobi, DirectSolver, GaussSeidelForward,
                                GridLevel, MgHierarchy, build_hierarchy, cycle_norm,
                                prolongation_matrix, smooth, vcycle)
 from test_fem import hat_function
-
-
-def surrogate_system(M, S, c_A=1.0):
-    """FemSystem carrying raw matrices only (algebra-level tests)."""
-    return FemSystem(mesh=None, c_A=c_A, M=sp.csr_matrix(M), S=sp.csr_matrix(S))
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +43,7 @@ def test_level_count():
     sys = assemble(build_mesh(8), 1.0)
     h = build_hierarchy(sys, 0.1, 0.5, GaussSeidelForward(), K0=2)
     assert h.n_levels == 3
-    assert [lev.system.mesh.K for lev in h.levels] == [2, 4, 8]
+    assert [lev.B.shape[0] for lev in h.levels] == [1, 9, 49]  # K = 2, 4, 8
 
 
 def test_incompatible_K_rejected():
@@ -70,13 +65,12 @@ def test_fractional_sweep_counts_rejected():
 @settings(max_examples=25, deadline=None)
 @given(tau=st.floats(1e-4, 1.0), alpha=st.floats(0.05, 0.95))
 def test_galerkin_coarse_operator_identity(sys16, tau, alpha):
-    """P'B_fP = B_c on every level pair, at any (tau, alpha)."""
+    """Each level's Galerkin product is its mesh's re-assembled M + tau^alpha S,
+    at any (tau, alpha)."""
     h = build_hierarchy(sys16, tau, alpha, DampedJacobi(), K0=2)
-    for i, P in enumerate(h.prolongations):
-        fine_B = h.levels[i + 1].B
-        coarse_B = h.levels[i].B
-        dev = abs((P.T @ fine_B @ P) - coarse_B).max()
-        assert dev <= 1e-12 * abs(coarse_B).max()
+    for K, level in zip(multigrid.level_sizes(16, 2), h.levels):
+        B = assemble(build_mesh(K), sys16.c_A).system_matrix(tau, alpha)
+        assert abs(level.B - B).max() <= 1e-12 * abs(B).max()
 
 
 def test_cached_restriction_and_raw_coarse_solve(sys16):
@@ -95,7 +89,7 @@ def test_cached_restriction_and_raw_coarse_solve(sys16):
 def test_prolongation_reproduces_coarse_hat():
     coarse = build_mesh(8)
     fine = build_mesh(16)
-    P = prolongation_matrix(coarse, fine)
+    P = prolongation_matrix(8)
     xc = np.zeros(coarse.n_interior)
     xc[coarse.interior_of_full[3 * 9 + 4]] = 1.0  # hat at coarse node (4, 3)
     hat = hat_function(coarse, 4, 3)
@@ -182,8 +176,7 @@ def test_smoothers_fix_exact_solution(hier32_gs, hier32_jac):
 
 def test_jacobi_on_diagonal_system_contracts_by_one_third():
     D = sp.diags([2.0, 3.0, 4.0]).tocsr()
-    level = GridLevel(surrogate_system(D, sp.csr_matrix((3, 3))), tau=1.0,
-                      alpha=0.5)
+    level = GridLevel(D)
     x_star = np.array([1.0, -2.0, 0.5])
     rhs = D @ x_star
     x = np.zeros(3)
@@ -197,8 +190,7 @@ def test_jacobi_on_diagonal_system_contracts_by_one_third():
 
 def test_gauss_seidel_matches_hand_sweep():
     B = np.array([[2.0, 1.0], [1.0, 3.0]])
-    level = GridLevel(surrogate_system(B, np.zeros((2, 2))), tau=1.0,
-                      alpha=0.5)
+    level = GridLevel(sp.csr_matrix(B))
     out = smooth(level, np.zeros(2), np.array([1.0, 2.0]),
                  GaussSeidelForward(), sweeps=1)
     # forward substitution: x0 = 1/2; x1 = (2 - 1*0.5)/3 = 0.5
