@@ -2,9 +2,11 @@
 
 Subcommands: example1, example2, contraction, weights-dump.  Options may also
 come from a ``--config`` file of key=value lines (one per line, ``#`` starts a
-comment).  List values: ``alpha`` and ``N`` entries are separated by commas or
-spaces; ``schedule`` entries by spaces (specs like log:3,6 contain commas).
-``paper-scale=yes`` means K=128.  Explicit flags win; an unknown key is an error.
+comment), read by the same parser as the flags: each key is a flag's name
+spelled in full (as are the flags), and each line becomes ``--key=value``.
+List values: ``alpha`` and ``N`` entries are separated by commas or spaces;
+``schedule`` entries by spaces (specs like log:3,6 contain commas); an empty
+list value is an error.  ``paper-scale=yes`` means K=128.  Explicit flags win.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/divergence failure.
 """
@@ -44,7 +46,6 @@ _YES, _NO = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _add_common(p, settings):
-    p.set_defaults(settings=settings)  # the SETTINGS entries this command offers
     for flag, field, cast, text, _ in settings:
         default = getattr(_DEFAULTS, field)
         many = isinstance(default, tuple)
@@ -57,7 +58,7 @@ def _add_common(p, settings):
                    help=f"shorthand for --K {PAPER_SCALE_K}; the later of the two wins "
                         f"(desk-scale default is K={_DEFAULTS.K})")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", dest="fmt", help="output format: csv | md (default csv)")
+    p.add_argument("--format", dest="fmt", choices=FORMATS, help="output format (default csv)")
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                       ("example2", "nonsmooth-data convergence table"),
                       ("contraction", "multigrid contraction sweep")):
         settings = [s for s in SETTINGS if s[4] or name != "contraction"]
-        _add_common(sub.add_parser(name, help=doc), settings)
+        _add_common(sub.add_parser(name, help=doc, allow_abbrev=False), settings)
     wd = sub.add_parser("weights-dump", help="dump CQ weights with their bound")
     wd.add_argument("--gamma", type=float, required=True)
     wd.add_argument("--n-max", type=int, dest="n_max", required=True)
@@ -79,50 +80,33 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _read_config_file(path: str) -> list:
+    """The file's lines as ``--key=value`` tokens, one per list entry."""
+    tokens, scale = [], "no"
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                key, eq, val = (part.strip() for part in line.partition("="))
+                if not eq or key == "config":
+                    raise ConfigurationError(f"{path}:{lineno}: expected key=value with a key "
+                                             f"other than config, got {raw.rstrip()!r}")
+                if key == "paper-scale":
+                    scale = val.lower()
+                    continue
+                if key in ("alpha", "N"):
+                    val = val.replace(",", " ")
+                items = val.split() if key in ("alpha", "N", "schedule") else [val]
+                tokens += [f"--{key}={item}" for item in items or [""]]
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    scale = values.pop("paper-scale", "no").lower()
-    if scale not in _YES + _NO or (scale in _YES and "K" in values):
+    has_K = any(token.startswith("--K=") for token in tokens)
+    if scale not in _YES + _NO or (scale in _YES and has_K):
         raise ConfigurationError(f"{path}: paper-scale must be one of {'/'.join(_YES + _NO)}"
                                  f" and cannot join a K key, got {scale!r}")
-    if scale in _YES:
-        values["K"] = str(PAPER_SCALE_K)
-    return values
-
-
-def _given(args: argparse.Namespace, file_vals: dict) -> dict:
-    """ExperimentConfig fields given by flags or, failing that, the file."""
-    unknown = sorted(set(file_vals) - {s[0] for s in args.settings} - {"format", "out"})
-    if unknown:
-        raise ConfigurationError(f"unknown config key(s): {', '.join(unknown)}")
-    given = {}
-    for flag, field, cast, *_ in args.settings:
-        many = isinstance(getattr(_DEFAULTS, field), tuple)
-        if flag in file_vals:
-            raw = file_vals[flag]
-            if many and field != "schedules":  # 'log:3,6' contains a comma
-                raw = raw.replace(",", " ")
-            try:
-                given[field] = tuple(map(cast, raw.split())) if many else cast(raw)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad config value: {exc}") from exc
-        flagged = getattr(args, field)
-        if flagged is not None:
-            given[field] = tuple(flagged) if many else flagged
-    return given
+    return tokens + ["--paper-scale"] * (scale in _YES)
 
 
 def _check_out(out: str | None) -> None:
@@ -158,28 +142,29 @@ def _print_timings(table) -> None:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
-        return exc.code
-    try:
+        args = parser.parse_args(argv)
         if args.command == "weights-dump":
             _check_out(args.out)
             _write(weight_table_csv(args.gamma, args.n_max), args.out)
             return 0
-        file_vals = _read_config_file(args.config) if args.config else {}
-        cfg = ExperimentConfig(**_given(args, file_vals))
-        fmt = file_vals.get("format", "csv") if args.fmt is None else args.fmt
-        out = file_vals.get("out") if args.out is None else args.out
-        if fmt not in FORMATS:
-            raise ConfigurationError(f"unknown format {fmt!r}")
-        _check_out(out)
+        if args.config:  # the file's values, then each flag that was given
+            given = {key: val for key, val in vars(args).items() if val is not None}
+            args = parser.parse_args([args.command, *_read_config_file(args.config)])
+            vars(args).update(given)
+        cfg = ExperimentConfig(**{field: tuple(val) if isinstance(val, list) else val
+                                  for _, field, *_ in SETTINGS
+                                  if (val := getattr(args, field, None)) is not None})
+        _check_out(args.out)
         runner = {"example1": run_example1, "example2": run_example2,
                   "contraction": run_contraction_sweep}[args.command]
         table = runner(cfg)
-        _write(table.to_markdown() if fmt == "md" else table.to_csv(), out)
+        _write(table.to_markdown() if args.fmt == "md" else table.to_csv(), args.out)
         _print_timings(table)
         return 0
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return exc.code
     except ValueError as exc:  # ConfigurationError and plain domain errors
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

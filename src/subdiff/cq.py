@@ -6,9 +6,11 @@ phi^0..phi^n on a uniform grid with step tau is
     (D^gamma phi)^n = tau^(-gamma) * sum_{j=0..n} b_j phi^(n-j),
 
 where the b_j are the power-series coefficients of (1 - xi)^gamma.  For the
-subdiffusion model gamma is the Caputo order alpha in (0,1); orders up to 2
-are supported so that composed operators (e.g. order 1-alpha after order
-alpha) can be formed and tested.
+subdiffusion model gamma is the Caputo order alpha in (0,1).  Weights of
+orders up to 2 can be generated, so that composed tables (e.g. order 1-alpha
+after order alpha) can be formed and tested.  The history sum applies them to
+sequences of up to HISTORY_BLOCK + 1 entries; longer ones need the far-lag
+fit of :func:`soe_fit`, which takes orders in (0,1) only.
 """
 
 import math
@@ -52,8 +54,8 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ConfigurationError(f"final time must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigurationError(f"final time must be positive and finite, got {self.T}")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ConfigurationError(f"step count must be an integer >= 1, got {self.N}")
 
@@ -122,8 +124,10 @@ def soe_fit(gamma: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     to 0.5; 12-node Gauss-Jacobi with weight (1-u)^(-gamma) on [0.5, 1].
     That is 96 modes at N = 320 and 128 at N = 5120; the relative weight
     error stays below 2.95e-12 for N from 129 to 20480 and gamma from 0.05 to
-    0.95.
+    0.95.  For gamma >= 1 the integral of b_1 diverges.
     """
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"the far-lag fit needs an order in (0, 1), got {gamma}")
     lo = SOE_LO_N / N
     x, q = roots_jacobi(12, 0.0, gamma)
     u = [lo * (1.0 + x) / 2.0]

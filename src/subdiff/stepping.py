@@ -304,9 +304,9 @@ def error_report(traj: Trajectory, reference, sys: FemSystem) -> float:
     """Relative L2 error of a trajectory's final vector against a nodal
     reference vector at the final time."""
     ref_final = np.asarray(reference, dtype=float)
-    if ref_final.shape != (sys.dim,):
-        raise ValueError(
-            f"reference of shape {ref_final.shape} does not match dimension {sys.dim}")
+    if ref_final.shape != (sys.dim,) or not np.isfinite(ref_final).all():
+        raise ValueError(f"reference of shape {ref_final.shape} must be finite and match "
+                         f"dimension {sys.dim}")
     denom = l2_norm(sys, ref_final)
     if denom == 0.0:
         raise ValueError("reference has zero norm; relative error is undefined")

@@ -435,9 +435,13 @@ def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch):
     path.write_text(f"alpha=0.5\npaper-scale=yes\nformat=csv\nout={tmp_path / 't.csv'}\n")
     assert cli.main(["example1", "--config", str(path)]) == 0
     assert seen == [ExperimentConfig(alphas=(0.5,), K=128)]
-    for bad in ("paper-scale=ture\n", "K=64\npaper-scale=yes\n"):
+    # keys and flags are spelled in full, a file names no other file, and an
+    # empty list value is refused rather than read as the defaults
+    for bad in ("paper-scale=ture\n", "K=64\npaper-scale=yes\n", "alph=0.5\n",
+                "config=other.cfg\n", "alpha=\n", "N=\n", "schedule=\n", "format=xml\n"):
         path.write_text(bad)
         assert cli.main(["example1", "--config", str(path)]) == 2
+    assert cli.main(["example1", "--alph", "0.5"]) == 2
     assert len(seen) == 1
 
 

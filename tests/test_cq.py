@@ -242,6 +242,19 @@ def test_history_sums_steady_history_collapses_to_initial_value():
         assert np.abs(steady - u0).max() <= rel * np.abs(u0).max()
 
 
+def test_streamed_history_refuses_orders_outside_the_fit():
+    """Order 1.5 fails with a named error once far lags need the fit, and up
+    to HISTORY_BLOCK + 1 entries it still matches the GEMV oracle."""
+    table = gen_weights(1.5, 300)
+    with pytest.raises(ValueError, match="order in \\(0, 1\\), got 1.5"):
+        frac_apply(table, 0.1, np.ones(301))
+    U = np.random.default_rng(5).standard_normal((B + 1, 2))
+    frac = frac_apply(table, 1.0, U)
+    for n in range(1, B + 1):
+        scale = np.abs(table.weights[:n + 1]) @ np.abs(U[n::-1]).max(axis=1)
+        assert np.abs(frac[n] - U[n] - plain_history(table, U, n)).max() <= NEAR_REL * scale
+
+
 def test_frac_apply_validation():
     table = gen_weights(0.5, 3)
     with pytest.raises(ValueError):
@@ -315,6 +328,9 @@ def test_time_grid():
         TimeGrid(T=0.0, N=4)
     with pytest.raises(ConfigurationError):
         TimeGrid(T=1.0, N=0)
+    for T in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TimeGrid(T=T, N=3)
 
 
 def test_weight_table_immutable():

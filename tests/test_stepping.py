@@ -446,3 +446,9 @@ def test_error_report_zero_reference_rejected():
     traj = run_exact(ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=4), sys=sys))
     with pytest.raises(ValueError):
         error_report(traj, np.zeros(sys.dim), sys)
+    for bad in (np.nan, np.inf):
+        ref = np.ones(sys.dim)
+        ref[sys.dim // 2] = bad
+        for reference in (ref, np.full(sys.dim, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                error_report(traj, reference, sys)
