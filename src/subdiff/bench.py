@@ -16,12 +16,13 @@ the largest benchmarked N), or a vector loaded from a file.
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
 from .cq import TimeGrid, gen_weights
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_int
 from .fem import assemble, build_mesh
 from .multigrid import (DampedJacobi, GaussSeidelForward, build_hierarchy,
                         check_cycle, cycle_norm, level_sizes)
@@ -48,24 +49,43 @@ DEFAULT_ROWS_EXAMPLE2 = ("log:3,0", "log:3,3", "log:3,6", "exact")
 FORMATS = ("csv", "md")
 
 
+def _setting(default, flag: str, text: str, sweep: bool = True):
+    """A field of ExperimentConfig with its flag, help and whether the sweep reads it."""
+    return field(default=default, metadata={"flag": flag, "help": text, "sweep": sweep})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings of one benchmark command; the defaults here are the CLI's."""
+    """Settings of one benchmark command, each declared once here: the CLI's
+    default, flag, help and sweep scope, and the annotation as its value type."""
 
-    alphas: tuple = (0.2, 0.5, 0.8)
-    Ns: tuple = (10, 20, 40, 80, 160, 320)
-    K: int = 64
-    c_A: float = 5.0
-    smoother: str = "gs"
-    omega: float = 2.0 / 3.0
-    nu1: int = 1
-    nu2: int = 1
-    schedules: tuple = ()
-    startup_exact: int = 2
-    ref_N: int = 5120
-    ref_file: str | None = None
-    K0: int = 4
-    seed: int = 0
+    alphas: tuple[float, ...] = _setting((0.2, 0.5, 0.8), "alpha",
+                                         "fractional order; repeatable")
+    Ns: tuple[int, ...] = _setting((10, 20, 40, 80, 160, 320), "N",
+                                   "time step count; repeatable")
+    K: int = _setting(64, "K", "subdivisions per side")
+    c_A: float = _setting(5.0, "cA", "diffusivity c in A = -c*Laplacian")
+    smoother: str = _setting("gs", "smoother", "V-cycle smoother: gs | jacobi", sweep=False)
+    omega: float = _setting(2.0 / 3.0, "omega", "Jacobi damping")
+    nu1: int = _setting(1, "nu1", "pre-smoothing sweeps")
+    nu2: int = _setting(1, "nu2", "post-smoothing sweeps")
+    schedules: tuple[str, ...] = _setting(
+        (), "schedule", "row schedule: exact | fixed:m | log:a,b | theory-smooth:delta | "
+        "theory-nonsmooth:delta; repeatable", sweep=False)
+    startup_exact: int = _setting(2, "startup-exact", "steps solved exactly before iterating",
+                                  sweep=False)
+    ref_N: int = _setting(5120, "ref-N", "steps of the fine reference run", sweep=False)
+    ref_file: str | None = _setting(
+        None, "ref-file", ".npy file holding the final-time reference vector", sweep=False)
+    K0: int = _setting(4, "K0", "coarsest hierarchy level")
+    seed: int = _setting(0, "seed", "seed of the Lanczos start vector of the V-cycle norm")
+
+    @classmethod
+    def settings(cls, command: str) -> list:
+        """(field, value type, whether a tuple) of each setting the command reads:
+        all for the example tables, those declared with sweep=True for the sweep."""
+        return [(f, (get_args(f.type) or (f.type,))[0], get_origin(f.type) is tuple)
+                for f in fields(cls) if command != "contraction" or f.metadata["sweep"]]
 
     def __post_init__(self):
         if not self.alphas:
@@ -84,7 +104,7 @@ class ExperimentConfig:
         if self.smoother not in ("gs", "jacobi"):
             raise ConfigurationError(f"smoother must be 'gs' or 'jacobi', got {self.smoother}")
         DampedJacobi(omega=self.omega)  # checks omega, whichever smoother runs
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (is_int(self.seed) and self.seed >= 0):
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed}")
         check_cycle(self.nu1, self.nu2, self.K0)
         # Build each row once, theory rows with a stand-in kappa, so that a bad
@@ -100,15 +120,13 @@ class ExperimentConfig:
                 f"K={self.K} equals K0: with one level only 'exact' rows can run")
 
     def meta_line(self, command: str) -> str:
-        """The table's first line: the command and the settings it reads; the
-        contraction sweep runs both smoothers, no rows and no reference."""
-        rows = command != "contraction"
-        return (f"# subdiff-bench {command} seed={self.seed} K={self.K} "
-                f"cA={self.c_A:.17g} T={T:.17g} "
-                + (f"smoother={self.smoother} " if rows else "")
-                + f"omega={self.omega:.17g} nu1={self.nu1} nu2={self.nu2} "
-                + (f"startup={self.startup_exact} refN={self.ref_N} " if rows else "")
-                + f"K0={self.K0}")
+        """The table's first line: the command, then key=field for each setting it reads."""
+        read = {"T": T} | {f.name: getattr(self, f.name) for f, _, _ in self.settings(command)}
+        items = [(key, read[name]) for key, name in (pair.split("=") for pair in (
+            "seed=seed K=K cA=c_A T=T smoother=smoother omega=omega nu1=nu1 nu2=nu2 "
+            "startup=startup_exact refN=ref_N K0=K0").split()) if name in read]
+        return " ".join([f"# subdiff-bench {command}"] + [
+            f"{key}={v:.17g}" if isinstance(v, float) else f"{key}={v}" for key, v in items])
 
 
 def parse_schedule(text: str, startup: int, kappa: float | None = None) -> Schedule:

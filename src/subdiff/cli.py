@@ -1,14 +1,14 @@
 """Command-line benchmark harness.
 
-Subcommands: example1, example2, contraction, weights-dump.  Options may also
-come from a ``--config`` file of key=value lines (one per line, ``#`` starts a
-comment), read by the same parser as the flags: each key is a flag's name
-spelled in full (as are the flags), and each line becomes ``--key=value``.
-List values: ``alpha`` and ``N`` entries are separated by commas or spaces;
-``schedule`` entries by spaces (specs like log:3,6 contain commas); an empty
-list value is an error.  ``paper-scale=yes`` means K=128.  Explicit flags win.
-
-Exit codes: 0 success, 2 configuration error, 3 numeric/divergence failure.
+Subcommands: example1, example2, contraction, weights-dump.  The table
+commands' options are built from the fields of ``bench.ExperimentConfig``,
+where each setting is declared once.  They may also come from a ``--config``
+file of key=value lines (``#`` starts a comment), read by the same parser as
+the flags: each key is a flag's name spelled in full, and each line becomes
+``--key=value``.  A tuple field's key takes a list (numbers part at commas or
+spaces, schedules at spaces); an empty list is an error.  An unknown key is
+reported with its file and line.  ``paper-scale=yes`` means K=128.  Explicit
+flags win.  Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
 import argparse
@@ -19,44 +19,21 @@ from .bench import (FORMATS, ExperimentConfig, run_contraction_sweep, run_exampl
                     run_example2, weight_table_csv)
 from .errors import ConfigurationError, NumericsError
 
-# The settings of the table commands, one entry each: (flag and config-file
-# key, ExperimentConfig field, value type, help, whether the contraction sweep
-# reads it; it offers no other).  A tuple-valued field takes a repeatable flag
-# and a list value in the file.  Fields given neither way keep the defaults.
-SETTINGS = (
-    ("alpha", "alphas", float, "fractional order; repeatable", True),
-    ("N", "Ns", int, "time step count; repeatable", True),
-    ("K", "K", int, "subdivisions per side", True),
-    ("cA", "c_A", float, "diffusivity c in A = -c*Laplacian", True),
-    ("smoother", "smoother", str, "V-cycle smoother: gs | jacobi", False),
-    ("omega", "omega", float, "Jacobi damping", True),
-    ("nu1", "nu1", int, "pre-smoothing sweeps", True),
-    ("nu2", "nu2", int, "post-smoothing sweeps", True),
-    ("schedule", "schedules", str, "row schedule: exact | fixed:m | log:a,b | "
-     "theory-smooth:delta | theory-nonsmooth:delta; repeatable", False),
-    ("startup-exact", "startup_exact", int, "steps solved exactly before iterating", False),
-    ("ref-N", "ref_N", int, "steps of the fine reference run", False),
-    ("ref-file", "ref_file", str, ".npy file holding the final-time reference vector", False),
-    ("K0", "K0", int, "coarsest hierarchy level", True),
-    ("seed", "seed", int, "seed of the Lanczos start vector of the V-cycle norm", True),
-)
-_DEFAULTS = ExperimentConfig()
 PAPER_SCALE_K = 128
 _YES, _NO = ("1", "true", "yes"), ("0", "false", "no")
 
 
-def _add_common(p, settings):
-    for flag, field, cast, text, _ in settings:
-        default = getattr(_DEFAULTS, field)
-        many = isinstance(default, tuple)
-        if default not in (None, ()):
+def _add_common(p, command):
+    for f, cast, many in ExperimentConfig.settings(command):
+        text, shown = f.metadata["help"], f.default if many else (f.default,)
+        if f.default not in (None, ()):
             text += " (default " + " ".join(f"{v:g}" if isinstance(v, float) else str(v)
-                                           for v in (default if many else (default,))) + ")"
-        p.add_argument(f"--{flag}", dest=field, type=cast, help=text,
+                                           for v in shown) + ")"
+        p.add_argument(f"--{f.metadata['flag']}", dest=f.name, type=cast, help=text,
                        action="append" if many else "store")
     p.add_argument("--paper-scale", action="store_const", const=PAPER_SCALE_K, dest="K",
                    help=f"shorthand for --K {PAPER_SCALE_K}; the later of the two wins "
-                        f"(desk-scale default is K={_DEFAULTS.K})")
+                        f"(desk-scale default is K={ExperimentConfig.K})")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", dest="fmt", choices=FORMATS, help="output format (default csv)")
     p.add_argument("--config", help="key=value config file; flags override it")
@@ -71,18 +48,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name, doc in (("example1", "smooth-solution convergence table"),
                       ("example2", "nonsmooth-data convergence table"),
                       ("contraction", "multigrid contraction sweep")):
-        settings = [s for s in SETTINGS if s[4] or name != "contraction"]
-        _add_common(sub.add_parser(name, help=doc, allow_abbrev=False), settings)
-    wd = sub.add_parser("weights-dump", help="dump CQ weights with their bound")
+        _add_common(sub.add_parser(name, help=doc, allow_abbrev=False), name)
+    wd = sub.add_parser("weights-dump", help="dump CQ weights with their bound",
+                        allow_abbrev=False)
     wd.add_argument("--gamma", type=float, required=True)
     wd.add_argument("--n-max", type=int, dest="n_max", required=True)
     wd.add_argument("--out", help="output path (default stdout)")
     return p
 
 
-def _read_config_file(path: str) -> list:
-    """The file's lines as ``--key=value`` tokens, one per list entry."""
-    tokens, scale = [], "no"
+def _parse_config_file(parser, command: str, path: str) -> argparse.Namespace:
+    """Parse the file's lines as ``--key=value`` tokens, one per list entry: a
+    list parts at spaces, and a numeric one at commas too (log:3,6 holds one)."""
+    lists = {f.metadata["flag"]: " " if cast is str else ","
+             for f, cast, many in ExperimentConfig.settings(command) if many}
+    tokens, line_of, scale = [], {}, "no"
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -93,20 +73,23 @@ def _read_config_file(path: str) -> list:
                 if not eq or key == "config":
                     raise ConfigurationError(f"{path}:{lineno}: expected key=value with a key "
                                              f"other than config, got {raw.rstrip()!r}")
+                line_of.setdefault(key, lineno)
                 if key == "paper-scale":
                     scale = val.lower()
                     continue
-                if key in ("alpha", "N"):
-                    val = val.replace(",", " ")
-                items = val.split() if key in ("alpha", "N", "schedule") else [val]
+                items = val.replace(lists[key], " ").split() if key in lists else [val]
                 tokens += [f"--{key}={item}" for item in items or [""]]
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    has_K = any(token.startswith("--K=") for token in tokens)
-    if scale not in _YES + _NO or (scale in _YES and has_K):
+    if scale not in _YES + _NO or (scale in _YES and "K" in line_of):
         raise ConfigurationError(f"{path}: paper-scale must be one of {'/'.join(_YES + _NO)}"
                                  f" and cannot join a K key, got {scale!r}")
-    return tokens + ["--paper-scale"] * (scale in _YES)
+    tokens += ["--paper-scale"] * (scale in _YES)
+    args, unknown = parser.parse_known_args([command, *tokens])
+    if unknown:  # argparse is the judge of which keys exist; name the file and line
+        key = unknown[0][2:].partition("=")[0]
+        raise ConfigurationError(f"{path}:{line_of[key]}: unknown key {key!r} for {command}")
+    return args
 
 
 def _check_out(out: str | None) -> None:
@@ -151,11 +134,11 @@ def main(argv=None) -> int:
             return 0
         if args.config:  # the file's values, then each flag that was given
             given = {key: val for key, val in vars(args).items() if val is not None}
-            args = parser.parse_args([args.command, *_read_config_file(args.config)])
+            args = _parse_config_file(parser, args.command, args.config)
             vars(args).update(given)
-        cfg = ExperimentConfig(**{field: tuple(val) if isinstance(val, list) else val
-                                  for _, field, *_ in SETTINGS
-                                  if (val := getattr(args, field, None)) is not None})
+        cfg = ExperimentConfig(**{f.name: tuple(val) if many else val
+                                  for f, _, many in ExperimentConfig.settings(args.command)
+                                  if (val := getattr(args, f.name)) is not None})
         _check_out(args.out)
         runner = {"example1": run_example1, "example2": run_example2,
                   "contraction": run_contraction_sweep}[args.command]

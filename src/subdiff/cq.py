@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_int
 
 __all__ = [
     "TimeGrid",
@@ -56,7 +56,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.T < math.inf:
             raise ConfigurationError(f"final time must be positive and finite, got {self.T}")
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
+        if not (is_int(self.N) and self.N >= 1):
             raise ConfigurationError(f"step count must be an integer >= 1, got {self.N}")
 
     @property
@@ -102,7 +102,7 @@ def gen_weights(gamma: float, n_max: int) -> WeightTable:
     """
     if not 0.0 < gamma < 2.0:
         raise ValueError(f"order gamma must lie in (0, 2), got {gamma}")
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+    if not (is_int(n_max) and n_max >= 0):
         raise ValueError(f"n_max must be an integer >= 0, got {n_max}")
     if n_max + 1 > _MAX_TABLE_LEN:
         raise ConfigurationError(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -7,3 +9,8 @@ class ConfigurationError(ValueError):
 
 class NumericsError(RuntimeError):
     """A numerical procedure diverged or failed to reach its required tolerance."""
+
+
+def is_int(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, is_int
 
 __all__ = [
     "Mesh2D",
@@ -58,7 +58,7 @@ class Mesh2D:
     """
 
     def __init__(self, K: int):
-        if not (isinstance(K, (int, np.integer)) and K >= 2 and K % 2 == 0):
+        if not (is_int(K) and K >= 2 and K % 2 == 0):
             raise ConfigurationError(f"K must be an even integer >= 2, got {K}")
         self.K = int(K)
         self.h = 2.0 / K

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, is_int
 from .fem import Factor, FemSystem
 
 __all__ = [
@@ -156,11 +156,10 @@ def level_sizes(K: int, K0: int) -> list:
 def check_cycle(nu1: int, nu2: int, K0: int) -> None:
     """Raise unless nu1, nu2 are integers >= 0 with nu1 + nu2 >= 1 and K0 is
     an even integer >= 2."""
-    ok = all(isinstance(v, (int, np.integer)) and v >= 0 for v in (nu1, nu2))
-    if not ok or nu1 + nu2 < 1:
+    if not all(is_int(v) and v >= 0 for v in (nu1, nu2)) or nu1 + nu2 < 1:
         raise ConfigurationError(
             f"need integers nu1, nu2 >= 0 with nu1+nu2 >= 1, got {nu1}, {nu2}")
-    if not (isinstance(K0, (int, np.integer)) and K0 >= 2 and K0 % 2 == 0):
+    if not (is_int(K0) and K0 >= 2 and K0 % 2 == 0):
         raise ConfigurationError(f"coarsest K0 must be an even integer >= 2, got {K0}")
 
 

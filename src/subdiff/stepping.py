@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cq import History, TimeGrid, gen_weights
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, is_int
 from .fem import FemSystem, l2_norm, l2_project, load_vector
 from .multigrid import DirectSolver, MgHierarchy, vcycle
 
@@ -112,7 +112,7 @@ class Schedule:
 
     def __post_init__(self):
         k = self.exact_startup_steps
-        if not (isinstance(k, (int, np.integer)) and k >= 1):
+        if not (is_int(k) and k >= 1):
             raise ConfigurationError(f"exact_startup_steps must be an integer >= 1, got {k}")
 
     def exact(self, n: int) -> bool:
@@ -142,8 +142,7 @@ class LogSchedule(Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        ok = all(isinstance(v, (int, np.integer)) and v >= 0 for v in (self.a, self.b))
-        if not ok or self.a + self.b < 1:
+        if not all(is_int(v) and v >= 0 for v in (self.a, self.b)) or self.a + self.b < 1:
             raise ConfigurationError(
                 f"need integers a, b >= 0 with a+b >= 1, got a={self.a}, b={self.b}")
 

@@ -1,9 +1,12 @@
 """Benchmark tables, CSV/Markdown emission, and the command-line interface."""
 
+import argparse
+import dataclasses
 import math
 import pathlib
 import subprocess
 import sys as _sys
+import typing
 
 import numpy as np
 import pytest
@@ -39,9 +42,12 @@ def test_config_validation():
                 dict(schedules=("fixed:1", " fixed:1"))):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**bad)
-    for seed in (-1, 1.5):
+    for seed in (-1, 1.5, True):
         with pytest.raises(ConfigurationError, match="seed"):
             ExperimentConfig(seed=seed)
+    for bad in (dict(Ns=(True, 2)), dict(nu1=True)):
+        with pytest.raises(ConfigurationError, match="integer"):  # a bool is not one
+            ExperimentConfig(**bad)
     with pytest.raises(ConfigurationError, match="damping"):
         ExperimentConfig(omega=1.5)  # checked with the default smoother too
     with pytest.raises(ConfigurationError, match="K0"):
@@ -88,6 +94,31 @@ def test_cli_contraction_refuses_settings_it_never_reads(tmp_path, monkeypatch, 
     path.write_text(f"{flag}={value}\n")
     assert cli.main(base + ["--config", str(path)]) == 2
     cli.build_parser().parse_args(["example1", f"--{flag}", value])  # no SystemExit
+
+
+def test_each_setting_is_declared_once_on_the_config():
+    """Each table command's parser offers exactly the ExperimentConfig fields
+    declared for it, with the declared flag and value type (a tuple field
+    repeatable), and the sweep's metadata line names none it refuses."""
+    refused = {f.name for f in dataclasses.fields(ExperimentConfig) if not f.metadata["sweep"]}
+    assert refused == {"smoother", "schedules", "startup_exact", "ref_N", "ref_file"}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("example1", "example2", "contraction"):
+        offered = {a.dest: a for a in sub.choices[command]._actions if a.type is not None}
+        declared = [f for f in dataclasses.fields(ExperimentConfig)
+                    if command != "contraction" or f.name not in refused]
+        assert set(offered) == {f.name for f in declared}
+        for f in declared:
+            action, many = offered[f.name], typing.get_origin(f.type) is tuple
+            assert action.option_strings == [f"--{f.metadata['flag']}"]
+            assert f.type in (action.type, action.type | None, tuple[action.type, ...])
+            assert isinstance(action, argparse._AppendAction if many else argparse._StoreAction)
+    cfg = ExperimentConfig(smoother="jacobi", startup_exact=7, ref_N=7777)
+    keys = {item.partition("=")[0] for item in cfg.meta_line("contraction").split()[3:]}
+    assert keys == {"seed", "K", "cA", "T", "omega", "nu1", "nu2", "K0"}
+    assert cfg.meta_line("example1").endswith(" startup=7 refN=7777 K0=4")
+    assert "jacobi" in cfg.meta_line("example1") and "jacobi" not in cfg.meta_line("contraction")
 
 
 def test_parse_schedule_forms():
@@ -421,7 +452,7 @@ def test_cli_bad_reference_file_exit_code(tmp_path):
     assert cli.main(argv + [str(tmp_path / "text.npy")]) == 2
 
 
-def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch):
+def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch, capsys):
     seen = []
 
     def capture(cfg):
@@ -432,6 +463,13 @@ def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch):
     path = tmp_path / "bench.cfg"
     path.write_text("alhpa=0.5\n")
     assert cli.main(["example1", "--config", str(path)]) == 2
+    path.write_text("alph=0.5\n")  # reported with the file, line and key
+    assert cli.main(["example1", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:1" in err and "alph" in err
+    path.write_text("alpha=0.5\n\nK0=4\nnu3=1\n")
+    assert cli.main(["example1", "--config", str(path)]) == 2
+    assert f"{path}:4" in capsys.readouterr().err
     path.write_text(f"alpha=0.5\npaper-scale=yes\nformat=csv\nout={tmp_path / 't.csv'}\n")
     assert cli.main(["example1", "--config", str(path)]) == 0
     assert seen == [ExperimentConfig(alphas=(0.5,), K=128)]
@@ -459,6 +497,7 @@ def test_cli_missing_config_file():
 
 def test_cli_weights_dump_domain_error():
     assert cli.main(["weights-dump", "--gamma", "2.5", "--n-max", "4"]) == 2
+    assert cli.main(["weights-dump", "--gam", "0.5", "--n-max", "2"]) == 2  # flags in full
 
 
 def test_cli_paper_scale_flag(tmp_path, monkeypatch):

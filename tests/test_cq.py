@@ -280,8 +280,9 @@ def test_gen_weights_validation():
     for gamma in (-0.1, 0.0, 2.0, 2.5):
         with pytest.raises(ValueError):
             gen_weights(gamma, 10)
-    with pytest.raises(ValueError):
-        gen_weights(0.5, -1)
+    for n_max in (-1, True):
+        with pytest.raises(ValueError):
+            gen_weights(0.5, n_max)
     with pytest.raises(ConfigurationError):
         gen_weights(0.5, 2**28)
 
@@ -326,8 +327,9 @@ def test_time_grid():
     assert g.tau == 0.25
     with pytest.raises(ConfigurationError):
         TimeGrid(T=0.0, N=4)
-    with pytest.raises(ConfigurationError):
-        TimeGrid(T=1.0, N=0)
+    for N in (0, True):  # a bool is not a step count
+        with pytest.raises(ConfigurationError):
+            TimeGrid(T=1.0, N=N)
     for T in (math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="finite"):
             TimeGrid(T=T, N=3)

@@ -139,6 +139,9 @@ def test_schedule_validation():
         LogSchedule(a=0, b=0)
     with pytest.raises(ConfigurationError):
         LogSchedule(a=-1, b=2)
+    for bad in (dict(a=True), dict(a=2, b=True), dict(a=2, exact_startup_steps=True)):
+        with pytest.raises(ConfigurationError):  # a bool is not an integer
+            LogSchedule(**bad)
     with pytest.raises(ConfigurationError):
         TheorySmoothData(delta=0.0, kappa=0.5)
     with pytest.raises(ConfigurationError):
