@@ -10,7 +10,7 @@ import numpy as np
 
 from subdiff import (GaussSeidelForward, LogSchedule, TheoryNonsmoothData,
                      assemble, build_hierarchy, build_mesh,
-                     cycle_norm, error_report, run_exact, run_iis)
+                     error_report, run_exact, run_iis)
 from subdiff.bench import example_problem
 
 K, alpha = 32, 0.8
@@ -33,9 +33,8 @@ print("\n=== schedule from the contraction kappa = |E|_B ===")
 N = 160
 spec = example_problem(2, sys, alpha, N)
 h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
-kappa = cycle_norm(h, seed=0)
-print(f"kappa = |E|_B = {kappa:.3f}")
-traj = run_iis(spec, TheoryNonsmoothData(delta=0.1, kappa=kappa), h)
+print(f"kappa = |E|_B = {h.kappa:.3f}")
+traj = run_iis(spec, TheoryNonsmoothData(delta=0.1), h)
 counts = [(rec.n, rec.label) for rec in traj.records]
 print("per-step iteration counts (step, M_n):")
 print("  early:", counts[:8])

@@ -11,7 +11,7 @@ from .errors import ConfigurationError, NumericsError
 from .fem import (FemSystem, Mesh2D, assemble, build_mesh, l2_norm, l2_project,
                   load_vector, ritz_project)
 from .multigrid import (DampedJacobi, GaussSeidelForward, MgHierarchy,
-                        build_hierarchy, cycle_norm, smooth, vcycle)
+                        build_hierarchy, smooth, vcycle)
 from .stepping import (ExactSchedule, L2Projected, LogSchedule, ProblemSpec,
                        SeparableSource, TheoryNonsmoothData, TheorySmoothData,
                        Trajectory, ZeroInit, error_report, run_exact, run_iis,
@@ -25,7 +25,7 @@ __all__ = [
     "Mesh2D", "FemSystem", "build_mesh", "assemble", "load_vector",
     "l2_project", "ritz_project", "l2_norm",
     "DampedJacobi", "GaussSeidelForward", "MgHierarchy",
-    "build_hierarchy", "vcycle", "smooth", "cycle_norm",
+    "build_hierarchy", "vcycle", "smooth",
     "ProblemSpec", "ZeroInit", "L2Projected",
     "SeparableSource",
     "ExactSchedule", "LogSchedule",

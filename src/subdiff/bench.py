@@ -22,10 +22,10 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .cq import TimeGrid, gen_weights
-from .errors import ConfigurationError, is_int
+from .errors import ConfigurationError
 from .fem import assemble, build_mesh
-from .multigrid import (DampedJacobi, GaussSeidelForward, build_hierarchy,
-                        check_cycle, cycle_norm, level_sizes)
+from .multigrid import (KAPPA_SEED, DampedJacobi, GaussSeidelForward,
+                        build_hierarchy, check_cycle, level_sizes)
 from .stepping import (ExactSchedule, L2Projected, LogSchedule, ProblemSpec,
                        Schedule, SeparableSource, TheoryNonsmoothData,
                        TheorySmoothData, ZeroInit, error_report, run_exact,
@@ -78,7 +78,6 @@ class ExperimentConfig:
     ref_file: str | None = _setting(
         None, "ref-file", ".npy file holding the final-time reference vector", sweep=False)
     K0: int = _setting(4, "K0", "coarsest hierarchy level")
-    seed: int = _setting(0, "seed", "seed of the Lanczos start vector of the V-cycle norm")
 
     @classmethod
     def settings(cls, command: str) -> list:
@@ -104,24 +103,22 @@ class ExperimentConfig:
         if self.smoother not in ("gs", "jacobi"):
             raise ConfigurationError(f"smoother must be 'gs' or 'jacobi', got {self.smoother}")
         DampedJacobi(omega=self.omega)  # checks omega, whichever smoother runs
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed}")
         check_cycle(self.nu1, self.nu2, self.K0)
-        # Build each row once, theory rows with a stand-in kappa, so that a bad
-        # row or startup count fails here and not after a reference run.  The
-        # stock rows are valid; "exact" still checks the startup count.
-        for text in self.schedules or ("exact",):
-            parse_schedule(text, self.startup_exact, 0.5)
         rows = [text.strip() for text in self.schedules]
         if len(set(rows)) != len(rows):
             raise ConfigurationError(f"schedule rows must be distinct, got {self.schedules}")
-        if len(level_sizes(self.K, self.K0)) < 2 and set(rows) != {"exact"}:
-            raise ConfigurationError(
-                f"K={self.K} equals K0: with one level only 'exact' rows can run")
+        # Build each row (else the stock rows of both tables) so that a bad row
+        # or startup count, or a V-cycle with one level, fails before any run.
+        built = [parse_schedule(text, self.startup_exact)
+                 for text in self.schedules or DEFAULT_ROWS_EXAMPLE1 + DEFAULT_ROWS_EXAMPLE2]
+        last = max(self.Ns)
+        if len(level_sizes(self.K, self.K0)) < 2 and not all(s.exact(last) for s in built):
+            raise ConfigurationError(f"K={self.K} equals K0: one level runs exact steps only")
 
     def meta_line(self, command: str) -> str:
         """The table's first line: the command, then key=field for each setting it reads."""
-        read = {"T": T} | {f.name: getattr(self, f.name) for f, _, _ in self.settings(command)}
+        read = {"T": T, "seed": KAPPA_SEED} | {
+            f.name: getattr(self, f.name) for f, _, _ in self.settings(command)}
         items = [(key, read[name]) for key, name in (pair.split("=") for pair in (
             "seed=seed K=K cA=c_A T=T smoother=smoother omega=omega nu1=nu1 nu2=nu2 "
             "startup=startup_exact refN=ref_N K0=K0").split()) if name in read]
@@ -129,12 +126,12 @@ class ExperimentConfig:
             f"{key}={v:.17g}" if isinstance(v, float) else f"{key}={v}" for key, v in items])
 
 
-def parse_schedule(text: str, startup: int, kappa: float | None = None) -> Schedule:
+def parse_schedule(text: str, startup: int) -> Schedule:
     """Build the schedule a row spec names, solving steps 1..startup exactly.
 
     Accepted forms: ``exact``, ``fixed:m``, ``log:a,b``,
-    ``theory-smooth:delta``, ``theory-nonsmooth:delta``; the theory rows need
-    the V-cycle's contraction ``kappa`` (``multigrid.cycle_norm``).
+    ``theory-smooth:delta``, ``theory-nonsmooth:delta``; the theory rows read
+    the V-cycle's contraction from the hierarchy (``MgHierarchy.kappa``).
     """
     text = text.strip()
     kind, _, arg = text.partition(":")
@@ -148,7 +145,7 @@ def parse_schedule(text: str, startup: int, kappa: float | None = None) -> Sched
             return LogSchedule(a=int(a), b=int(b), exact_startup_steps=startup)
         if kind in ("theory-smooth", "theory-nonsmooth"):
             cls = TheorySmoothData if kind == "theory-smooth" else TheoryNonsmoothData
-            return cls(delta=float(arg), kappa=kappa, exact_startup_steps=startup)
+            return cls(delta=float(arg), exact_startup_steps=startup)
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(f"bad schedule {text!r}: {exc}") from exc
     raise ConfigurationError(f"unknown schedule spec {text!r}")
@@ -268,7 +265,8 @@ def _run_example(cfg: ExperimentConfig, example: int, default_rows) -> ErrorTabl
             f"ref_N={cfg.ref_N} must be at least 16x the largest N={max(cfg.Ns)}")
     if cfg.ref_file is not None and len(cfg.alphas) != 1:
         raise ConfigurationError("an external reference file fixes a single alpha")
-    rows = [label.strip() for label in cfg.schedules or default_rows]
+    rows = {label.strip(): parse_schedule(label, cfg.startup_exact)
+            for label in cfg.schedules or default_rows}
     sys = assemble(build_mesh(cfg.K), cfg.c_A)
     smoother = GaussSeidelForward() if cfg.smoother == "gs" else DampedJacobi(omega=cfg.omega)
     table = ErrorTable(Ns=tuple(cfg.Ns), meta=cfg.meta_line(f"example{example}"))
@@ -276,14 +274,11 @@ def _run_example(cfg: ExperimentConfig, example: int, default_rows) -> ErrorTabl
         ref = _reference_final(cfg, sys, example, alpha)
         for N in cfg.Ns:
             spec = example_problem(example, sys, alpha, N, T)
-            hierarchy = kappa = None
-            if any(label != "exact" for label in rows):
+            hierarchy = None
+            if not all(schedule.exact(N) for schedule in rows.values()):
                 hierarchy = build_hierarchy(sys, spec.grid.tau, alpha, smoother,
                                             cfg.nu1, cfg.nu2, cfg.K0)
-            if any(label.startswith("theory") for label in rows):
-                kappa = cycle_norm(hierarchy, seed=cfg.seed)
-            for label in rows:
-                schedule = parse_schedule(label, cfg.startup_exact, kappa)
+            for label, schedule in rows.items():
                 t0 = time.perf_counter()
                 traj = run_iis(spec, schedule, hierarchy)
                 err = error_report(traj, ref, sys)
@@ -316,7 +311,7 @@ def run_contraction_sweep(cfg: ExperimentConfig) -> ContractionReport:
                 h = build_hierarchy(sys, tau, alpha, smoother,
                                     cfg.nu1, cfg.nu2, cfg.K0)
                 report.rows.append((alpha, tau, cfg.K, smoother.name, cfg.nu1,
-                                    cfg.nu2, cycle_norm(h, seed=cfg.seed)))
+                                    cfg.nu2, h.kappa))
     return report
 
 

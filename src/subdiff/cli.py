@@ -6,8 +6,8 @@ where each setting is declared once.  They may also come from a ``--config``
 file of key=value lines (``#`` starts a comment), read by the same parser as
 the flags: each key is a flag's name spelled in full, and each line becomes
 ``--key=value``.  A tuple field's key takes a list (numbers part at commas or
-spaces, schedules at spaces); an empty list is an error.  An unknown key is
-reported with its file and line.  ``paper-scale=yes`` means K=128.  Explicit
+spaces, schedules at spaces); an empty list is an error.  A bad key or value
+is reported with its file and line.  ``paper-scale=yes`` means K=128.  Explicit
 flags win.  Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
@@ -40,17 +40,18 @@ def _add_common(p, command):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a bad value raises ArgumentError, which main and the config reader report
+    strict = dict(allow_abbrev=False, exit_on_error=False)
     p = argparse.ArgumentParser(
         prog="subdiff-bench",
         description="Convergence and contraction benchmarks for the "
-                    "subdiffusion solver.")
+                    "subdiffusion solver.", **strict)
     sub = p.add_subparsers(dest="command", required=True)
     for name, doc in (("example1", "smooth-solution convergence table"),
                       ("example2", "nonsmooth-data convergence table"),
                       ("contraction", "multigrid contraction sweep")):
-        _add_common(sub.add_parser(name, help=doc, allow_abbrev=False), name)
-    wd = sub.add_parser("weights-dump", help="dump CQ weights with their bound",
-                        allow_abbrev=False)
+        _add_common(sub.add_parser(name, help=doc, **strict), name)
+    wd = sub.add_parser("weights-dump", help="dump CQ weights with their bound", **strict)
     wd.add_argument("--gamma", type=float, required=True)
     wd.add_argument("--n-max", type=int, dest="n_max", required=True)
     wd.add_argument("--out", help="output path (default stdout)")
@@ -85,7 +86,11 @@ def _parse_config_file(parser, command: str, path: str) -> argparse.Namespace:
         raise ConfigurationError(f"{path}: paper-scale must be one of {'/'.join(_YES + _NO)}"
                                  f" and cannot join a K key, got {scale!r}")
     tokens += ["--paper-scale"] * (scale in _YES)
-    args, unknown = parser.parse_known_args([command, *tokens])
+    try:
+        args, unknown = parser.parse_known_args([command, *tokens])
+    except argparse.ArgumentError as exc:  # a bad value: name its file and line
+        raise ConfigurationError(
+            f"{path}:{line_of[exc.argument_name.rpartition('--')[2]]}: {exc}") from exc
     if unknown:  # argparse is the judge of which keys exist; name the file and line
         key = unknown[0][2:].partition("=")[0]
         raise ConfigurationError(f"{path}:{line_of[key]}: unknown key {key!r} for {command}")
@@ -148,7 +153,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
-    except ValueError as exc:  # ConfigurationError and plain domain errors
+    except (ValueError, argparse.ArgumentError) as exc:  # settings, domains, flag values
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

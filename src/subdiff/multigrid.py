@@ -9,11 +9,12 @@ factorization.
 
 One V(nu1, nu2) cycle is the unit of work the time stepper counts as one
 inner iteration.  Its error propagation E contracts in the energy-like norm
-|x| = sqrt(x' B x); ``cycle_norm`` returns kappa = |E|_B from the adjoint cycle,
-so m cycles shrink any error by at most kappa^m.
+|x| = sqrt(x' B x): m cycles shrink any error by at most kappa^m, where kappa =
+|E|_B is ``MgHierarchy.kappa``, computed from the adjoint cycle on first use.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,8 +35,9 @@ __all__ = [
     "smooth",
     "vcycle",
     "DirectSolver",
-    "cycle_norm",
 ]
+
+KAPPA_SEED = 0  # seeds the Lanczos start vector of MgHierarchy.kappa
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,39 @@ class MgHierarchy:
         B = self.fine.B
         return float(np.sqrt(max(x @ (B @ x), 0.0)))
 
+    @cached_property
+    def kappa(self) -> float:
+        """kappa = |E|_B, the V-cycle's error propagation E in the weighted norm.
+
+        kappa^2 is the top eigenvalue of E*E, where the B-adjoint E* is the
+        cycle with each sweep replaced by its adjoint and nu1, nu2 swapped.
+        Lanczos (ARPACK) on B E*E x = lam B x starts from a KAPPA_SEED-drawn
+        vector, so the result is deterministic.  Raises NumericsError unless
+        0 < kappa < 1 and every product is finite.
+        """
+        B = self.fine.B
+        adj = MgHierarchy(self.levels, self.prolongations, self.coarse_lu,
+                          self.smoother.adjoint(), self.nu2, self.nu1)
+        zero = np.zeros(B.shape[0])
+
+        def apply(x):
+            y = B @ vcycle(adj, vcycle(self, x, zero), zero)
+            if not np.isfinite(y).all():
+                raise NumericsError("V-cycle produced a non-finite value in the cycle norm")
+            return y
+
+        op = spla.LinearOperator(B.shape, matvec=apply, dtype=float)
+        inv = spla.LinearOperator(B.shape, matvec=Factor(B).solve, dtype=float)
+        v0 = np.random.default_rng(KAPPA_SEED).standard_normal(B.shape[0])
+        try:
+            lam = spla.eigsh(op, k=1, M=B, Minv=inv, which="LA", v0=v0, tol=1e-10,
+                             return_eigenvectors=False)[0]
+        except spla.ArpackError as exc:
+            raise NumericsError(f"cycle norm did not converge: {exc}") from exc
+        if not 0.0 < lam < 1.0:  # so 0 < kappa < 1; fails for NaN
+            raise NumericsError(f"V-cycle is not contracting: |E|_B^2 = {lam:.4g}")
+        return float(np.sqrt(lam))
+
 
 def level_sizes(K: int, K0: int) -> list:
     """Mesh sizes K0, 2*K0, ..., K of a hierarchy; raises unless K = K0 * 2^L."""
@@ -229,36 +264,3 @@ class DirectSolver:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._factor.solve(rhs)
-
-
-def cycle_norm(h: MgHierarchy, seed: int = 0) -> float:
-    """kappa = |E|_B, the V-cycle's error propagation E in the weighted norm.
-
-    kappa^2 is the top eigenvalue of E*E, where the B-adjoint E* is the cycle
-    with each sweep replaced by its adjoint and nu1, nu2 swapped; so m cycles
-    shrink any error by at most kappa^m.  Lanczos (ARPACK) on B E*E x = lam B x
-    starts from a ``seed``-drawn vector, so the result is deterministic.
-    Raises NumericsError unless 0 < kappa < 1 and every product is finite.
-    """
-    B = h.fine.B
-    adj = MgHierarchy(h.levels, h.prolongations, h.coarse_lu,
-                      h.smoother.adjoint(), h.nu2, h.nu1)
-    zero = np.zeros(B.shape[0])
-
-    def apply(x):
-        y = B @ vcycle(adj, vcycle(h, x, zero), zero)
-        if not np.isfinite(y).all():
-            raise NumericsError("V-cycle produced a non-finite value in the cycle norm")
-        return y
-
-    op = spla.LinearOperator(B.shape, matvec=apply, dtype=float)
-    inv = spla.LinearOperator(B.shape, matvec=Factor(B).solve, dtype=float)
-    v0 = np.random.default_rng(seed).standard_normal(B.shape[0])
-    try:
-        lam = spla.eigsh(op, k=1, M=B, Minv=inv, which="LA", v0=v0, tol=1e-10,
-                         return_eigenvectors=False)[0]
-    except spla.ArpackError as exc:
-        raise NumericsError(f"cycle norm did not converge: {exc}") from exc
-    if not 0.0 < lam < 1.0:  # so 0 < kappa < 1; fails for NaN
-        raise NumericsError(f"V-cycle is not contracting: |E|_B^2 = {lam:.4g}")
-    return float(np.sqrt(lam))

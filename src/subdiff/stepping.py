@@ -146,27 +146,25 @@ class LogSchedule(Schedule):
             raise ConfigurationError(
                 f"need integers a, b >= 0 with a+b >= 1, got a={self.a}, b={self.b}")
 
-    def iters(self, t_n: float, tau: float, alpha: float) -> int:
+    def iters(self, t_n: float, tau: float, alpha: float, h: MgHierarchy) -> int:
         return max(1, self.a + math.ceil(self.b * math.log2(max(1.0, 1.0 / t_n))))
 
 
 @dataclass(frozen=True)
 class _TheorySchedule(Schedule):
     """Smallest M_n with kappa^M_n <= target(t_n, ell_n, alpha), where
-    ell_n = ln(1 + t_n/tau) and kappa = |E|_B from ``multigrid.cycle_norm``."""
+    ell_n = ln(1 + t_n/tau) and kappa = |E|_B is the hierarchy's ``kappa``."""
 
     delta: float
-    kappa: float
 
     def __post_init__(self):
         super().__post_init__()
-        for name, v in (("delta", self.delta), ("kappa", self.kappa)):
-            if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
-                raise ConfigurationError(f"{name} must lie in (0, 1), got {v}")
+        if not (isinstance(self.delta, (int, float)) and 0.0 < self.delta < 1.0):
+            raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
 
-    def iters(self, t_n: float, tau: float, alpha: float) -> int:
+    def iters(self, t_n: float, tau: float, alpha: float, h: MgHierarchy) -> int:
         target = self.target(t_n, math.log(1.0 + t_n / tau), alpha)
-        return max(1, math.ceil(math.log(target) / math.log(self.kappa)))
+        return max(1, math.ceil(math.log(target) / math.log(h.kappa)))
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,10 @@ class TheoryNonsmoothData(_TheorySchedule):
 
 
 def schedule_iters(schedule: Schedule, n: int, t_n: float, tau: float,
-                   alpha: float) -> int:
-    """Inner iteration count M_n demanded by ``schedule`` at step n, clamped
-    to MAX_INNER_ITERATIONS with a warning."""
-    m = schedule.iters(t_n, tau, alpha)
+                   alpha: float, h: MgHierarchy) -> int:
+    """Inner iteration count M_n demanded by ``schedule`` at step n with the
+    hierarchy h, clamped to MAX_INNER_ITERATIONS with a warning."""
+    m = schedule.iters(t_n, tau, alpha, h)
     if m > MAX_INNER_ITERATIONS:
         log.warning("schedule demanded %d iterations at step %d; clamped to %d",
                     m, n, MAX_INNER_ITERATIONS)
@@ -275,7 +273,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
                 direct = None  # no later step needs the factor; free it
             records.append(StepRecord(n, t_n, True, None, time.perf_counter() - t0))
             continue
-        m_n = schedule_iters(schedule, n, t_n, tau, spec.alpha)
+        m_n = schedule_iters(schedule, n, t_n, tau, spec.alpha, hierarchy)
         x = 2.0 * u - u_prev
         corrections = []
         for m in range(m_n):

@@ -19,8 +19,7 @@ from conftest import record_acceptance
 from subdiff.bench import example_problem
 from subdiff.cq import gen_weights, rl_integral_oracle
 from subdiff.fem import assemble, build_mesh, load_vector, ritz_project
-from subdiff.multigrid import (DampedJacobi, GaussSeidelForward,
-                               build_hierarchy, cycle_norm)
+from subdiff.multigrid import DampedJacobi, GaussSeidelForward, build_hierarchy
 from subdiff.stepping import (LogSchedule, ProblemSpec, TheoryNonsmoothData,
                               error_report, run_exact, run_iis)
 from test_stepping import scalar_spec
@@ -134,7 +133,7 @@ def test_c06_contraction_pairs(system_store):
                 for smoother, name in ((GaussSeidelForward(), "gs"),
                                        (DampedJacobi(), "jacobi")):
                     h = build_hierarchy(sys, tau, alpha, smoother)
-                    kappas[name] = cycle_norm(h, seed=0)
+                    kappas[name] = h.kappa
                 cell = f"K={K} alpha={alpha} N={N}"
                 crit.check(0.0 < kappas["gs"] < 1.0, f"{cell}: gs kappa out of range")
                 crit.check(0.0 < kappas["jacobi"] < 1.0,
@@ -269,7 +268,7 @@ def test_c11_theory_schedule(system_store, reference_store):
         for N in (40, 80, 160, 320):
             spec = example_problem(2, sys, alpha, N)
             h = build_hierarchy(sys, spec.grid.tau, alpha, GaussSeidelForward())
-            schedule = TheoryNonsmoothData(delta=0.1, kappa=cycle_norm(h, seed=0))
+            schedule = TheoryNonsmoothData(delta=0.1)
             traj = run_iis(spec, schedule, h)
             errs.append(error_report(traj, ref, sys))
             counts = [rec.iterations for rec in traj.records if not rec.exact]

@@ -13,6 +13,7 @@ import pytest
 
 import subdiff.bench as bench
 import subdiff.cli as cli
+import subdiff.multigrid as multigrid
 from subdiff.bench import (ContractionReport, ErrorTable, ExperimentConfig,
                            example_problem, parse_schedule,
                            run_contraction_sweep, run_example1, run_example2,
@@ -20,7 +21,7 @@ from subdiff.bench import (ContractionReport, ErrorTable, ExperimentConfig,
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import assemble, build_mesh
 from subdiff.stepping import (ExactSchedule, LogSchedule, TheoryNonsmoothData,
-                              TheorySmoothData)
+                              TheorySmoothData, run_exact)
 
 
 TINY = dict(alphas=(0.5,), Ns=(5, 10), K=8, ref_N=160)
@@ -42,9 +43,6 @@ def test_config_validation():
                 dict(schedules=("fixed:1", " fixed:1"))):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**bad)
-    for seed in (-1, 1.5, True):
-        with pytest.raises(ConfigurationError, match="seed"):
-            ExperimentConfig(seed=seed)
     for bad in (dict(Ns=(True, 2)), dict(nu1=True)):
         with pytest.raises(ConfigurationError, match="integer"):  # a bool is not one
             ExperimentConfig(**bad)
@@ -53,6 +51,23 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="K0"):
         ExperimentConfig(K=4, K0=4)  # the default rows need a V-cycle
     assert ExperimentConfig(K=4, K0=4, schedules=("exact",)).K == 4  # exact rows need one level
+
+
+def test_one_level_runs_when_every_step_is_exact(monkeypatch):
+    """K = K0 is refused only if some step of some row (the stock rows too)
+    needs a V-cycle; otherwise the table runs with no hierarchy at all."""
+    for rows in (("fixed:1",), ()):
+        with pytest.raises(ConfigurationError, match="K0"):
+            ExperimentConfig(K=4, K0=4, Ns=(5, 10), startup_exact=9, schedules=rows)
+
+    def never(*args):
+        raise AssertionError("a hierarchy was built for exact steps only")
+    monkeypatch.setattr(bench, "build_hierarchy", never)
+    cells = {}
+    for rows in (("fixed:1", "theory-smooth:0.1"), ()):
+        cells |= bench.run_example1(ExperimentConfig(
+            K=4, K0=4, alphas=(0.5,), Ns=(5, 10), ref_N=160, startup_exact=10, schedules=rows)).cells
+    assert len(cells) == 5 and all(errs == cells[(0.5, "exact")] for errs in cells.values())
 
 
 def test_reference_rules_checked_before_any_run(monkeypatch):
@@ -125,18 +140,15 @@ def test_parse_schedule_forms():
     assert parse_schedule("exact", 2) == ExactSchedule(exact_startup_steps=2)
     assert parse_schedule(" fixed:4 ", 3) == LogSchedule(a=4, exact_startup_steps=3)
     assert parse_schedule("log:3,6", 2) == LogSchedule(a=3, b=6)
-    assert parse_schedule("theory-smooth:0.1", 2, 0.3) == TheorySmoothData(
-        delta=0.1, kappa=0.3)
-    assert parse_schedule("theory-nonsmooth:0.2", 1, 0.3) == TheoryNonsmoothData(
-        delta=0.2, kappa=0.3, exact_startup_steps=1)
+    assert parse_schedule("theory-smooth:0.1", 2) == TheorySmoothData(delta=0.1)
+    assert parse_schedule("theory-nonsmooth:0.2", 1) == TheoryNonsmoothData(
+        delta=0.2, exact_startup_steps=1)
     for bad in ("fixed", "fixed:x", "log:1", "nope:3", "exact:1", "fixed:0",
                 "log:0,0", "theory-smooth:1.5"):
         with pytest.raises(ConfigurationError):
-            parse_schedule(bad, 2, 0.3)
+            parse_schedule(bad, 2)
     with pytest.raises(ConfigurationError):
         parse_schedule("exact", 0)  # the startup count is checked by every row
-    with pytest.raises(ConfigurationError):
-        parse_schedule("theory-smooth:0.1", 2)  # no measured contraction
 
 
 def test_example_problems():
@@ -280,6 +292,30 @@ def test_example2_runs_with_theory_schedule():
     assert table.to_csv() == run_example2(cfg).to_csv()
 
 
+def test_hierarchy_and_kappa_only_where_a_row_needs_them(monkeypatch):
+    """kappa's eigensolve runs once per cell that has theory rows, however
+    many there are, and never for the stock rows; no hierarchy is built for
+    an N at which every step of every row is exact."""
+    eigsh, build = multigrid.spla.eigsh, bench.build_hierarchy
+    calls = {"eigsh": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(multigrid.spla, "eigsh", counted("eigsh", eigsh))
+    monkeypatch.setattr(bench, "build_hierarchy", counted("build", build))
+    run_example2(ExperimentConfig(
+        schedules=("theory-smooth:0.1", "theory-nonsmooth:0.1"), **TINY))
+    assert calls == {"eigsh": 2, "build": 2}  # one alpha, two N
+    run_example2(ExperimentConfig(**TINY))
+    assert calls == {"eigsh": 2, "build": 4}
+    run_example2(ExperimentConfig(startup_exact=5, **TINY))  # N=5 is all exact
+    assert calls == {"eigsh": 2, "build": 5}
+
+
 def test_contraction_sweep_small():
     cfg = ExperimentConfig(alphas=(0.5,), Ns=(10,), K=8, ref_N=160)
     report = run_contraction_sweep(cfg)
@@ -356,6 +392,7 @@ def test_cli_configuration_error_exit_code():
                      "--K", "8", "--ref-N", "80"]) == 2
     assert cli.main(["example1", "--K", "eight"]) == 2  # malformed flag value
     assert cli.main(["example1", "--help"]) == 0
+    assert cli.main(["--he"]) == 2  # the top-level flags are spelled in full too
 
 
 def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch):
@@ -380,7 +417,6 @@ def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch
                 ["--K", "8", "--format", "xml"],
                 ["--K", "8", "--config", str(bad_format)],
                 ["--K", "8", "--out", str(tmp_path / "missing" / "t.csv")],
-                ["--K", "8", "--schedule", "theory-nonsmooth:0.1", "--seed", "-1"],
                 ["--K", "4"],  # K = K0 leaves no V-cycle for the default rows
                 ["--K", "8", "--cA", "inf"]):
         assert cli.main(base + bad) == 2
@@ -439,6 +475,20 @@ def test_cli_rejects_empty_out_or_format_before_any_run(tmp_path, monkeypatch):
     assert cli.main(["weights-dump", "--gamma", "0.5", "--n-max", "4", "--out", ""]) == 2
 
 
+def test_cli_reference_file_gives_the_reference_run_cells(tmp_path):
+    """A .npy file holding the final vector of the ref-N run gives the same
+    cells as that run; the metadata line keeps the default refN."""
+    sys = assemble(build_mesh(8), 5.0)
+    np.save(tmp_path / "ref.npy", run_exact(example_problem(1, sys, 0.5, 160)).final)
+    argv = ["example1", "--K", "8", "--alpha", "0.5", "--N", "5", "--N", "10"]
+    for name, ref in (("run.csv", ["--ref-N", "160"]),
+                      ("file.csv", ["--ref-file", str(tmp_path / "ref.npy")])):
+        assert cli.main(argv + ref + ["--out", str(tmp_path / name)]) == 0
+    run, file = ((tmp_path / name).read_text().splitlines() for name in ("run.csv", "file.csv"))
+    assert " refN=160 " in run[0] and " refN=5120 " in file[0]
+    assert file[1:] == run[1:] and len(run) == 2 + 4 * 2
+
+
 def test_cli_bad_reference_file_exit_code(tmp_path):
     argv = ["example1", "--alpha", "0.5", "--K", "8", "--N", "5", "--ref-file"]
     assert cli.main(argv + [str(tmp_path / "missing.npy")]) == 2
@@ -470,16 +520,24 @@ def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch, capsys):
     path.write_text("alpha=0.5\n\nK0=4\nnu3=1\n")
     assert cli.main(["example1", "--config", str(path)]) == 2
     assert f"{path}:4" in capsys.readouterr().err
+    path.write_text("alpha=0.5\nK=eight\n")  # so is a bad value, with its flag
+    assert cli.main(["example1", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2" in err and "--K" in err
+    path.write_text("format=xml\n")
+    assert cli.main(["example1", "--config", str(path)]) == 2
+    assert f"{path}:1" in capsys.readouterr().err
     path.write_text(f"alpha=0.5\npaper-scale=yes\nformat=csv\nout={tmp_path / 't.csv'}\n")
     assert cli.main(["example1", "--config", str(path)]) == 0
     assert seen == [ExperimentConfig(alphas=(0.5,), K=128)]
     # keys and flags are spelled in full, a file names no other file, and an
     # empty list value is refused rather than read as the defaults
     for bad in ("paper-scale=ture\n", "K=64\npaper-scale=yes\n", "alph=0.5\n",
-                "config=other.cfg\n", "alpha=\n", "N=\n", "schedule=\n", "format=xml\n"):
+                "config=other.cfg\n", "alpha=\n", "N=\n", "schedule=\n", "seed=0\n"):
         path.write_text(bad)
         assert cli.main(["example1", "--config", str(path)]) == 2
     assert cli.main(["example1", "--alph", "0.5"]) == 2
+    assert cli.main(["example1", "--seed", "0"]) == 2  # kappa's start vector is fixed
     assert len(seen) == 1
 
 

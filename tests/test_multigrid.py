@@ -11,7 +11,7 @@ import subdiff.multigrid as multigrid
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import Factor, assemble, build_mesh
 from subdiff.multigrid import (DampedJacobi, DirectSolver, GaussSeidelForward,
-                               GridLevel, MgHierarchy, build_hierarchy, cycle_norm,
+                               GridLevel, MgHierarchy, build_hierarchy,
                                prolongation_matrix, smooth, vcycle)
 from test_fem import hat_function
 
@@ -117,7 +117,7 @@ def test_vcycle_fixed_point(hier32_gs):
 
 
 def test_vcycle_strict_contraction_on_homogeneous_system(hier32_gs):
-    bound = cycle_norm(hier32_gs) * (1.0 + 1e-10)
+    bound = hier32_gs.kappa * (1.0 + 1e-10)
     rng = np.random.default_rng(1)
     zero = np.zeros(hier32_gs.fine.B.shape[0])
     for _ in range(100):
@@ -296,7 +296,7 @@ def dense_cycle_norm(h):
 def test_cycle_norm_matches_dense_oracle(small_systems, K, tau, alpha, smoother):
     for nu1, nu2 in ((1, 1), (2, 0), (0, 1)):
         h = build_hierarchy(small_systems[K], tau, alpha, smoother, nu1, nu2)
-        assert cycle_norm(h) == pytest.approx(dense_cycle_norm(h), rel=1e-8)
+        assert h.kappa == pytest.approx(dense_cycle_norm(h), rel=1e-8)
 
 
 def test_cycle_norm_bounds_every_one_cycle_ratio(hier32_gs, hier32_jac):
@@ -304,7 +304,7 @@ def test_cycle_norm_bounds_every_one_cycle_ratio(hier32_gs, hier32_jac):
     power iteration on E*E, shrinks by less than kappa in one cycle."""
     rng = np.random.default_rng(7)
     for h in (hier32_gs, hier32_jac):
-        kappa, adj = cycle_norm(h), adjoint_hierarchy(h)
+        kappa, adj = h.kappa, adjoint_hierarchy(h)
         zero = np.zeros(h.fine.B.shape[0])
         worst = 0.0
         for _ in range(20):
@@ -326,26 +326,39 @@ def test_contraction_estimate_exact_solver_floor(sys32, monkeypatch):
         return x - solver.solve(B @ x)
 
     monkeypatch.setattr(multigrid, "vcycle", exact_step)
-    assert 0.0 < cycle_norm(h) < 1e-12
+    assert 0.0 < h.kappa < 1e-12
 
 
 def test_gs_contracts_faster_than_jacobi(hier32_gs, hier32_jac):
-    assert 0.0 < cycle_norm(hier32_gs) < cycle_norm(hier32_jac) < 1.0
+    assert 0.0 < hier32_gs.kappa < hier32_jac.kappa < 1.0
 
 
-def test_cycle_norm_is_deterministic_per_seed(hier32_gs):
-    assert cycle_norm(hier32_gs, seed=3) == cycle_norm(hier32_gs, seed=3)
-    assert cycle_norm(hier32_gs, seed=3) == pytest.approx(cycle_norm(hier32_gs), rel=1e-8)
+def fresh(h):
+    """A copy of h that has not computed its kappa yet (the fixtures' copies
+    keep the kappa an earlier test read)."""
+    return MgHierarchy(h.levels, h.prolongations, h.coarse_lu, h.smoother, h.nu1, h.nu2)
+
+
+def test_cycle_norm_is_deterministic_per_seed(hier32_gs, monkeypatch):
+    """kappa's Lanczos start vector comes from a fixed seed: two hierarchies
+    with the same operators read the same kappa to the last bit, and one
+    computes it once. Another start vector converges to the same top
+    eigenvalue."""
+    a, b = fresh(hier32_gs), fresh(hier32_gs)
+    assert a.kappa == b.kappa == hier32_gs.kappa
+    assert a.kappa is a.kappa
+    monkeypatch.setattr(multigrid, "KAPPA_SEED", 3)
+    assert fresh(hier32_gs).kappa == pytest.approx(hier32_gs.kappa, rel=1e-8)
 
 
 def test_non_contracting_iteration_raises(hier32_gs, monkeypatch):
     monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: 1.1 * x)
     with pytest.raises(NumericsError, match="not contracting"):
-        cycle_norm(hier32_gs, seed=0)
+        fresh(hier32_gs).kappa
 
 
 def test_non_finite_probe_raises(hier32_gs, monkeypatch):
     # the cycle's own finiteness check raises, before any direct solve sees a NaN
     monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: np.full_like(x, np.nan))
     with pytest.raises(NumericsError, match="V-cycle produced a non-finite value"):
-        cycle_norm(hier32_gs, seed=0)
+        fresh(hier32_gs).kappa

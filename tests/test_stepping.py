@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from subdiff.bench import example_problem
 from subdiff.cq import HISTORY_BLOCK, TimeGrid, gen_weights, rl_integral_oracle
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import FemSystem, assemble, build_mesh, l2_norm
-from subdiff.multigrid import (DirectSolver, GaussSeidelForward,
-                               build_hierarchy, cycle_norm)
+from subdiff.multigrid import DirectSolver, GaussSeidelForward, build_hierarchy
 from subdiff.stepping import (ExactSchedule, LogSchedule, ProblemSpec,
                               SeparableSource, TheoryNonsmoothData,
                               TheorySmoothData, ZeroInit, error_report,
@@ -143,33 +143,34 @@ def test_schedule_validation():
         with pytest.raises(ConfigurationError):  # a bool is not an integer
             LogSchedule(**bad)
     with pytest.raises(ConfigurationError):
-        TheorySmoothData(delta=0.0, kappa=0.5)
+        TheorySmoothData(delta=0.0)
     with pytest.raises(ConfigurationError):
-        TheoryNonsmoothData(delta=1.0, kappa=0.5)
-    for cls in (TheorySmoothData, TheoryNonsmoothData):
-        for kappa in (0.0, 1.0, 1.5, -0.5, float("nan"), None, "0.5"):
-            with pytest.raises(ConfigurationError, match="kappa"):
-                cls(delta=0.1, kappa=kappa)
+        TheoryNonsmoothData(delta=1.0)
+
+
+def with_kappa(kappa):
+    """A stand-in hierarchy for the schedule rules, which read only its kappa."""
+    return SimpleNamespace(kappa=kappa)
 
 
 def test_schedule_iters_fixed_and_log():
     fixed = LogSchedule(a=3)
-    assert schedule_iters(fixed, 5, 0.5, 0.1, 0.5) == 3
+    assert schedule_iters(fixed, 5, 0.5, 0.1, 0.5, None) == 3
     log = LogSchedule(a=3, b=6)
-    assert schedule_iters(log, 10, 1.0, 0.1, 0.5) == 3
-    assert schedule_iters(log, 10, 0.125, 0.1, 0.5) == 3 + 6 * 3
-    assert schedule_iters(log, 10, 4.0, 0.1, 0.5) == 3  # guard above t_n = 1
+    assert schedule_iters(log, 10, 1.0, 0.1, 0.5, None) == 3
+    assert schedule_iters(log, 10, 0.125, 0.1, 0.5, None) == 3 + 6 * 3
+    assert schedule_iters(log, 10, 4.0, 0.1, 0.5, None) == 3  # guard above t_n = 1
     only_b = LogSchedule(a=0, b=2)
-    assert schedule_iters(only_b, 10, 1.0, 0.1, 0.5) == 1  # clamped up to 1
+    assert schedule_iters(only_b, 10, 1.0, 0.1, 0.5, None) == 1  # clamped up to 1
 
 
 def test_schedule_iters_theory_smallest_count():
     kappa = 0.3
-    sched = TheoryNonsmoothData(delta=0.1, kappa=kappa)
+    sched = TheoryNonsmoothData(delta=0.1)
     tau = 1.0 / 64.0
     for n in (3, 10, 64):
         t_n = n * tau
-        m = schedule_iters(sched, n, t_n, tau, 0.5)
+        m = schedule_iters(sched, n, t_n, tau, 0.5, with_kappa(kappa))
         target = 0.1 * min(t_n, 1.0) / math.log(1.0 + t_n / tau)
         assert kappa**m <= target
         if m > 1:
@@ -177,38 +178,37 @@ def test_schedule_iters_theory_smallest_count():
 
 
 def test_schedule_iters_theory_monotone_nonincreasing():
-    sched = TheoryNonsmoothData(delta=0.2, kappa=0.4)
+    sched, h = TheoryNonsmoothData(delta=0.2), with_kappa(0.4)
     tau = 1.0 / 128.0
-    counts = [schedule_iters(sched, n, n * tau, tau, 0.5) for n in range(3, 129)]
+    counts = [schedule_iters(sched, n, n * tau, tau, 0.5, h) for n in range(3, 129)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 def test_schedule_iters_clamped_at_limit(caplog):
     tau = 1e-6
-    for sched in (LogSchedule(a=1, b=1000),
-                  TheoryNonsmoothData(delta=0.01, kappa=0.95)):
+    for sched in (LogSchedule(a=1, b=1000), TheoryNonsmoothData(delta=0.01)):
         caplog.clear()
         with caplog.at_level("WARNING", logger="subdiff.stepping"):
-            m = schedule_iters(sched, 3, 3 * tau, tau, 0.5)
+            m = schedule_iters(sched, 3, 3 * tau, tau, 0.5, with_kappa(0.95))
         assert m == stepping.MAX_INNER_ITERATIONS == 200
         assert any("clamped" in rec.message for rec in caplog.records)
 
 
-_kappas = st.floats(0.01, 0.99)
 _schedules = st.one_of(
     st.builds(LogSchedule, a=st.integers(1, 400)),
     st.builds(LogSchedule, a=st.integers(1, 50), b=st.integers(0, 400)),
-    st.builds(TheorySmoothData, delta=st.floats(0.01, 0.99), kappa=_kappas),
-    st.builds(TheoryNonsmoothData, delta=st.floats(0.01, 0.99), kappa=_kappas),
+    st.builds(TheorySmoothData, delta=st.floats(0.01, 0.99)),
+    st.builds(TheoryNonsmoothData, delta=st.floats(0.01, 0.99)),
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(sched=_schedules, N=st.integers(3, 2000), alpha=st.floats(0.05, 0.95),
-       T=st.floats(0.01, 100.0))
-def test_schedule_iters_bounded_and_nonincreasing_in_time(sched, N, alpha, T):
+@given(sched=_schedules, kappa=st.floats(0.01, 0.99), N=st.integers(3, 2000),
+       alpha=st.floats(0.05, 0.95), T=st.floats(0.01, 100.0))
+def test_schedule_iters_bounded_and_nonincreasing_in_time(sched, kappa, N, alpha, T):
     tau = T / N
-    counts = [schedule_iters(sched, n, n * tau, tau, alpha)
+    h = with_kappa(kappa)
+    counts = [schedule_iters(sched, n, n * tau, tau, alpha, h)
               for n in range(3, N + 1, max(1, N // 64))]
     assert all(1 <= m <= stepping.MAX_INNER_ITERATIONS for m in counts)
     # a theory target falls, and its count rises, wherever ln(1 + t_n/tau)
@@ -223,10 +223,9 @@ def test_schedule_iters_bounded_and_nonincreasing_in_time(sched, N, alpha, T):
 def test_theory_smooth_uses_weaker_demand():
     tau = 1.0 / 64.0
     t_n = 3 * tau
-    m_smooth = schedule_iters(TheorySmoothData(delta=0.1, kappa=0.3),
-                              3, t_n, tau, 0.5)
-    m_rough = schedule_iters(TheoryNonsmoothData(delta=0.1, kappa=0.3),
-                             3, t_n, tau, 0.5)
+    h = with_kappa(0.3)
+    m_smooth = schedule_iters(TheorySmoothData(delta=0.1), 3, t_n, tau, 0.5, h)
+    m_rough = schedule_iters(TheoryNonsmoothData(delta=0.1), 3, t_n, tau, 0.5, h)
     assert m_smooth <= m_rough  # t^(alpha/2) >= t for small t
 
 
@@ -280,7 +279,7 @@ def test_zero_data_gives_zero_trajectory_for_every_schedule():
     spec = ProblemSpec(alpha=0.5, grid=TimeGrid(T=1.0, N=8), sys=sys)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
     schedules = [ExactSchedule(), LogSchedule(a=2), LogSchedule(a=1, b=1),
-                 TheoryNonsmoothData(delta=0.1, kappa=0.3)]
+                 TheoryNonsmoothData(delta=0.1)]
     for schedule in schedules:
         traj = run_iis(spec, schedule, h)
         assert np.all(traj.final == 0.0)
@@ -331,7 +330,7 @@ def test_inner_corrections_contract_at_measured_rate():
     spec = example_problem(2, sys, 0.5, 12)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
     # each correction is E applied to the one before, so |E|_B bounds the ratio
-    kappa = cycle_norm(h)
+    kappa = h.kappa
     traj = run_iis(spec, LogSchedule(a=5), h)
     for rec in traj.records:
         if rec.exact:
