@@ -5,7 +5,7 @@ operator identity linking the energy projection to the weak form.
 import numpy as np
 
 from subdiff import assemble, build_mesh, l2_norm, l2_project, load_vector, ritz_project
-from subdiff.fem import l2_error_vs_function
+from subdiff.fem import Factor, l2_error_vs_function
 
 print("=== mesh and matrices ===")
 for K in (8, 32, 128):
@@ -36,8 +36,7 @@ rhs_fn = lambda x, y: 2 * (1 - y * y) + 2 * (1 - x * x)
 prev = None
 for K in (8, 16, 32, 64):
     s = assemble(build_mesh(K), 1.0)
-    import scipy.sparse.linalg as spla
-    u = spla.splu(s.S.tocsc()).solve(load_vector(s.mesh, rhs_fn))
+    u = Factor(s.S).solve(load_vector(s.mesh, rhs_fn))
     err = l2_error_vs_function(s, u, exact)
     note = "" if prev is None else f"  ratio {prev / err:.2f}"
     print(f"K={K:3d}: L2 error {err:.3e}{note}")

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subdiff-bench",
         description="Convergence and contraction benchmarks for the "
                     "subdiffusion solver.", **strict)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command")
     for name, doc in (("example1", "smooth-solution convergence table"),
                       ("example2", "nonsmooth-data convergence table"),
                       ("contraction", "multigrid contraction sweep")):
@@ -133,6 +133,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:  # not required=True, so an unknown flag is named first
+            parser.error("the following arguments are required: command")
         if args.command == "weights-dump":
             _check_out(args.out)
             _write(weight_table_csv(args.gamma, args.n_max), args.out)

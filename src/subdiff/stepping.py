@@ -218,10 +218,6 @@ class StepRecord:
     wall_time: float
     corrections: tuple = ()
 
-    @property
-    def label(self) -> str:
-        return "exact" if self.exact else str(self.iterations)
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -36,11 +36,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(K=12, K0=4)  # 12 -> 6 -> 3, never reaches 4
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(smoother="sor")
-    with pytest.raises(ConfigurationError):
         ExperimentConfig(alphas=(1.2,))
-    for bad in (dict(Ns=(0, 10)), dict(Ns=(-5, 10)), dict(alphas=(0.5, 0.5)),
-                dict(schedules=("fixed:1", " fixed:1"))):
+    for bad in (dict(Ns=(0, 10)), dict(Ns=(-5, 10)), dict(alphas=(0.5, 0.5))):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**bad)
     for bad in (dict(Ns=(True, 2)), dict(nu1=True)):
@@ -48,20 +45,25 @@ def test_config_validation():
             ExperimentConfig(**bad)
     with pytest.raises(ConfigurationError, match="damping"):
         ExperimentConfig(omega=1.5)  # checked with the default smoother too
-    with pytest.raises(ConfigurationError, match="K0"):
-        ExperimentConfig(K=4, K0=4)  # the default rows need a V-cycle
-    assert ExperimentConfig(K=4, K0=4, schedules=("exact",)).K == 4  # exact rows need one level
+    assert ExperimentConfig(K=4, K0=4).K == 4  # the table runner decides what one level runs
 
 
 def test_one_level_runs_when_every_step_is_exact(monkeypatch):
-    """K = K0 is refused only if some step of some row (the stock rows too)
-    needs a V-cycle; otherwise the table runs with no hierarchy at all."""
-    for rows in (("fixed:1",), ()):
-        with pytest.raises(ConfigurationError, match="K0"):
-            ExperimentConfig(K=4, K0=4, Ns=(5, 10), startup_exact=9, schedules=rows)
-
+    """K = K0 is refused, before any run, only if some step of some row (the
+    stock rows too) needs a V-cycle; otherwise the table runs with no
+    hierarchy at all.  The sweep always needs one."""
     def never(*args):
-        raise AssertionError("a hierarchy was built for exact steps only")
+        raise AssertionError("a run started, or a hierarchy was built for exact steps only")
+
+    with monkeypatch.context() as m:
+        for name in ("run_exact", "run_iis", "build_hierarchy"):
+            m.setattr(bench, name, never)
+        for rows in (("fixed:1",), ()):
+            with pytest.raises(ConfigurationError, match="K0"):
+                run_example1(ExperimentConfig(K=4, K0=4, alphas=(0.5,), Ns=(5, 10), ref_N=160,
+                                              startup_exact=9, schedules=rows))
+    monkeypatch.setattr(multigrid.spla, "eigsh", never)
+    assert cli.main(["contraction", "--K", "4", "--N", "10"]) == 2  # from build_hierarchy
     monkeypatch.setattr(bench, "build_hierarchy", never)
     cells = {}
     for rows in (("fixed:1", "theory-smooth:0.1"), ()):
@@ -71,15 +73,22 @@ def test_one_level_runs_when_every_step_is_exact(monkeypatch):
 
 
 def test_reference_rules_checked_before_any_run(monkeypatch):
-    """ref_N >= 16 max N and a reference file's single alpha bind the example
-    tables only; the contraction sweep runs no reference."""
+    """The settings only the example tables read (sweep=False) are checked by
+    the table runner, before any run: ref_N >= 16 max N, a reference file's
+    single alpha, the smoother, the rows, the startup count and the one-level
+    rule.  A bad one still constructs an ExperimentConfig."""
     def never(*args):
-        raise AssertionError("a run started before the reference rules were checked")
+        raise AssertionError("a run started before the table-only settings were checked")
 
-    monkeypatch.setattr(bench, "run_exact", never)
-    monkeypatch.setattr(bench, "run_iis", never)
+    for name in ("run_exact", "run_iis", "build_hierarchy", "assemble"):
+        monkeypatch.setattr(bench, name, never)
     for bad in (dict(Ns=(10, 20), ref_N=100),
-                dict(alphas=(0.2, 0.5), ref_file="ref.npy")):
+                dict(alphas=(0.2, 0.5), ref_file="ref.npy"),
+                dict(smoother="sor"),
+                dict(schedules=("bogus",)), dict(schedules=("",)),
+                dict(schedules=("fixed:1", " fixed:1")),
+                dict(startup_exact=0),
+                dict(K=4, K0=4)):  # the stock rows need a V-cycle
         cfg = ExperimentConfig(**bad)
         with pytest.raises(ConfigurationError):
             run_example1(cfg)
@@ -386,13 +395,16 @@ def test_cli_config_file_with_flag_override(tmp_path, monkeypatch):
         alphas=(0.5,), Ns=(5, 10), K=16, ref_N=160, schedules=("log:1,0", "exact"))
 
 
-def test_cli_configuration_error_exit_code():
+def test_cli_configuration_error_exit_code(capsys):
     assert cli.main(["example1", "--K", "12", "--N", "5", "--ref-N", "80"]) == 2
     assert cli.main(["example1", "--schedule", "bogus:1", "--N", "5",
                      "--K", "8", "--ref-N", "80"]) == 2
     assert cli.main(["example1", "--K", "eight"]) == 2  # malformed flag value
     assert cli.main(["example1", "--help"]) == 0
+    capsys.readouterr()
     assert cli.main(["--he"]) == 2  # the top-level flags are spelled in full too
+    assert "--he" in capsys.readouterr().err  # named, not hidden behind the missing command
+    assert cli.main([]) == 2
 
 
 def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch):
@@ -533,12 +545,15 @@ def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch, capsys):
     # keys and flags are spelled in full, a file names no other file, and an
     # empty list value is refused rather than read as the defaults
     for bad in ("paper-scale=ture\n", "K=64\npaper-scale=yes\n", "alph=0.5\n",
-                "config=other.cfg\n", "alpha=\n", "N=\n", "schedule=\n", "seed=0\n"):
+                "config=other.cfg\n", "alpha=\n", "N=\n", "seed=0\n"):
         path.write_text(bad)
         assert cli.main(["example1", "--config", str(path)]) == 2
     assert cli.main(["example1", "--alph", "0.5"]) == 2
     assert cli.main(["example1", "--seed", "0"]) == 2  # kappa's start vector is fixed
     assert len(seen) == 1
+    monkeypatch.setattr(cli, "run_example1", run_example1)  # the runner checks the rows
+    path.write_text("schedule=\n")
+    assert cli.main(["example1", "--config", str(path)]) == 2
 
 
 def test_cli_numerics_error_exit_code(monkeypatch):

@@ -319,9 +319,8 @@ def test_startup_steps_marked_exact():
     spec = example_problem(2, sys, 0.5, 8)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
     traj = run_iis(spec, LogSchedule(a=2, exact_startup_steps=3), h)
-    labels = [rec.label for rec in traj.records]
-    assert labels[:3] == ["exact", "exact", "exact"]
-    assert labels[3:] == ["2"] * 5
+    assert [(rec.exact, rec.iterations) for rec in traj.records] == (
+        [(True, None)] * 3 + [(False, 2)] * 5)
     assert all(rec.wall_time >= 0.0 for rec in traj.records)
 
 
