@@ -2,13 +2,10 @@
 
 Subcommands: example1, example2, contraction, weights-dump.  The table
 commands' options are built from the fields of ``bench.ExperimentConfig``,
-where each setting is declared once.  They may also come from a ``--config``
-file of key=value lines (``#`` starts a comment), read by the same parser as
-the flags: each key is a flag's name spelled in full, and each line becomes
-``--key=value``.  A tuple field's key takes a list (numbers part at commas or
-spaces, schedules at spaces); an empty list is an error.  A bad key or value
-is reported with its file and line.  ``paper-scale=yes`` means K=128.  Explicit
-flags win.  Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+where each setting is declared once.  An argument ``@FILE`` is replaced by
+the flags in FILE, split at whitespace (``#`` starts a comment), and read in
+order with the rest, by the same parser.  Exit codes: 0 success,
+2 bad settings, 3 numeric failure.
 """
 
 import argparse
@@ -20,7 +17,6 @@ from .bench import (FORMATS, ExperimentConfig, run_contraction_sweep, run_exampl
 from .errors import ConfigurationError, NumericsError
 
 PAPER_SCALE_K = 128
-_YES, _NO = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _add_common(p, command):
@@ -36,16 +32,25 @@ def _add_common(p, command):
                         f"(desk-scale default is K={ExperimentConfig.K})")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", dest="fmt", choices=FORMATS, help="output format (default csv)")
-    p.add_argument("--config", help="key=value config file; flags override it")
+
+
+def _file_args(line: str) -> list[str]:
+    """One line of an @FILE; a nested file is refused, as argparse would recurse."""
+    args = line.split("#", 1)[0].split()
+    if any(arg.startswith("@") for arg in args):
+        raise ConfigurationError(f"an argument file names no other file: {line.strip()!r}")
+    return args
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # a bad value raises ArgumentError, which main and the config reader report
+    # a bad value raises ArgumentError, which main reports
     strict = dict(allow_abbrev=False, exit_on_error=False)
     p = argparse.ArgumentParser(
-        prog="subdiff-bench",
+        prog="subdiff-bench", fromfile_prefix_chars="@",
         description="Convergence and contraction benchmarks for the "
-                    "subdiffusion solver.", **strict)
+                    "subdiffusion solver.",
+        epilog="@FILE reads more arguments from FILE (# starts a comment).", **strict)
+    p.convert_arg_line_to_args = _file_args
     sub = p.add_subparsers(dest="command")
     for name, doc in (("example1", "smooth-solution convergence table"),
                       ("example2", "nonsmooth-data convergence table"),
@@ -56,45 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     wd.add_argument("--n-max", type=int, dest="n_max", required=True)
     wd.add_argument("--out", help="output path (default stdout)")
     return p
-
-
-def _parse_config_file(parser, command: str, path: str) -> argparse.Namespace:
-    """Parse the file's lines as ``--key=value`` tokens, one per list entry: a
-    list parts at spaces, and a numeric one at commas too (log:3,6 holds one)."""
-    lists = {f.metadata["flag"]: " " if cast is str else ","
-             for f, cast, many in ExperimentConfig.settings(command) if many}
-    tokens, line_of, scale = [], {}, "no"
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, val = (part.strip() for part in line.partition("="))
-                if not eq or key == "config":
-                    raise ConfigurationError(f"{path}:{lineno}: expected key=value with a key "
-                                             f"other than config, got {raw.rstrip()!r}")
-                line_of.setdefault(key, lineno)
-                if key == "paper-scale":
-                    scale = val.lower()
-                    continue
-                items = val.replace(lists[key], " ").split() if key in lists else [val]
-                tokens += [f"--{key}={item}" for item in items or [""]]
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    if scale not in _YES + _NO or (scale in _YES and "K" in line_of):
-        raise ConfigurationError(f"{path}: paper-scale must be one of {'/'.join(_YES + _NO)}"
-                                 f" and cannot join a K key, got {scale!r}")
-    tokens += ["--paper-scale"] * (scale in _YES)
-    try:
-        args, unknown = parser.parse_known_args([command, *tokens])
-    except argparse.ArgumentError as exc:  # a bad value: name its file and line
-        raise ConfigurationError(
-            f"{path}:{line_of[exc.argument_name.rpartition('--')[2]]}: {exc}") from exc
-    if unknown:  # argparse is the judge of which keys exist; name the file and line
-        key = unknown[0][2:].partition("=")[0]
-        raise ConfigurationError(f"{path}:{line_of[key]}: unknown key {key!r} for {command}")
-    return args
 
 
 def _check_out(out: str | None) -> None:
@@ -139,10 +105,6 @@ def main(argv=None) -> int:
             _check_out(args.out)
             _write(weight_table_csv(args.gamma, args.n_max), args.out)
             return 0
-        if args.config:  # the file's values, then each flag that was given
-            given = {key: val for key, val in vars(args).items() if val is not None}
-            args = _parse_config_file(parser, args.command, args.config)
-            vars(args).update(given)
         cfg = ExperimentConfig(**{f.name: tuple(val) if many else val
                                   for f, _, many in ExperimentConfig.settings(args.command)
                                   if (val := getattr(args, f.name)) is not None})

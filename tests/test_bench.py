@@ -106,7 +106,7 @@ def test_cli_contraction_needs_no_reference(tmp_path):
     ("ref-N", "1"), ("ref-file", "/nonexistent.npy")])
 def test_cli_contraction_refuses_settings_it_never_reads(tmp_path, monkeypatch, flag, value):
     """The sweep runs both smoothers, no rows and no reference: each such
-    setting exits 2 before any run, as a flag or as a config key.  The
+    setting exits 2 before any run, as a flag or in an argument file.  The
     example tables still take it."""
     def never(cfg):
         raise AssertionError("the sweep started")
@@ -114,9 +114,9 @@ def test_cli_contraction_refuses_settings_it_never_reads(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "run_contraction_sweep", never)
     base = ["contraction", "--K", "8", "--N", "10"]
     assert cli.main(base + [f"--{flag}", value]) == 2
-    path = tmp_path / "bench.cfg"
-    path.write_text(f"{flag}={value}\n")
-    assert cli.main(base + ["--config", str(path)]) == 2
+    path = tmp_path / "bench.args"
+    path.write_text(f"--{flag} {value}\n")
+    assert cli.main(base + [f"@{path}"]) == 2
     cli.build_parser().parse_args(["example1", f"--{flag}", value])  # no SystemExit
 
 
@@ -365,36 +365,6 @@ def test_cli_example1_tiny(tmp_path):
     assert len(lines) == 4
 
 
-def test_cli_config_file_with_flag_override(tmp_path, monkeypatch):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text("alpha=0.5\nN=5,10\nK=8\nref-N=160\n"
-                   "schedule=log:1,0 exact\nformat=md\n# comment line\n")
-    out = tmp_path / "t.md"
-    rc = cli.main(["example2", "--config", str(cfg), "--out", str(out)])
-    assert rc == 0
-    text = out.read_text()
-    assert text.count("### alpha =") == 1
-    assert "log:1,0" in text
-    # flag overrides the config file's format
-    out2 = tmp_path / "t.csv"
-    rc = cli.main(["example2", "--config", str(cfg), "--format", "csv",
-                   "--out", str(out2)])
-    assert rc == 0
-    assert out2.read_text().splitlines()[1] == "alpha,row_label,N,eN,rate"
-    # a flag overrides a config-file value; the rest keep the file's values
-    seen = {}
-
-    def capture(cfg):
-        seen["cfg"] = cfg
-        return ErrorTable(Ns=cfg.Ns, meta="#")
-
-    monkeypatch.setattr(cli, "run_example2", capture)
-    assert cli.main(["example2", "--config", str(cfg), "--K", "16",
-                     "--out", str(out2)]) == 0
-    assert seen["cfg"] == ExperimentConfig(
-        alphas=(0.5,), Ns=(5, 10), K=16, ref_N=160, schedules=("log:1,0", "exact"))
-
-
 def test_cli_configuration_error_exit_code(capsys):
     assert cli.main(["example1", "--K", "12", "--N", "5", "--ref-N", "80"]) == 2
     assert cli.main(["example1", "--schedule", "bogus:1", "--N", "5",
@@ -405,6 +375,8 @@ def test_cli_configuration_error_exit_code(capsys):
     assert cli.main(["--he"]) == 2  # the top-level flags are spelled in full too
     assert "--he" in capsys.readouterr().err  # named, not hidden behind the missing command
     assert cli.main([]) == 2
+    assert cli.main(["example1", "--alph", "0.5"]) == 2
+    assert cli.main(["example1", "--seed", "0"]) == 2  # kappa's start vector is fixed
 
 
 def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch):
@@ -412,8 +384,8 @@ def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch
         raise AssertionError("reference run started before the settings were checked")
 
     monkeypatch.setattr(bench, "run_exact", never)
-    bad_format = tmp_path / "bench.cfg"
-    bad_format.write_text("format=xml\n")
+    bad_format = tmp_path / "bench.args"
+    bad_format.write_text("--format xml\n")
     base = ["example1", "--N", "5", "--ref-N", "80"]
     for bad in (["--K", "32", "--nu1", "0", "--nu2", "0"],
                 ["--K", "32", "--nu1", "-1"],
@@ -427,7 +399,7 @@ def test_cli_rejects_bad_multigrid_settings_before_any_run(tmp_path, monkeypatch
                 ["--K", "8", "--omega", "1.5"],
                 ["--K", "8", "--omega", "0"],
                 ["--K", "8", "--format", "xml"],
-                ["--K", "8", "--config", str(bad_format)],
+                ["--K", "8", f"@{bad_format}"],
                 ["--K", "8", "--out", str(tmp_path / "missing" / "t.csv")],
                 ["--K", "4"],  # K = K0 leaves no V-cycle for the default rows
                 ["--K", "8", "--cA", "inf"]):
@@ -472,7 +444,7 @@ def test_cli_rejects_unwritable_out_path(tmp_path, monkeypatch):
 
 def test_cli_rejects_empty_out_or_format_before_any_run(tmp_path, monkeypatch):
     """An empty output path or format exits 2 before any run, whether it is
-    given as a flag or in the config file."""
+    given as a flag or in an argument file."""
     def never(cfg):
         raise AssertionError("a run started before the output was checked")
 
@@ -480,10 +452,10 @@ def test_cli_rejects_empty_out_or_format_before_any_run(tmp_path, monkeypatch):
     base = ["example1", "--K", "8", "--N", "5", "--ref-N", "80"]
     assert cli.main(base + ["--out", ""]) == 2
     assert cli.main(base + ["--format", ""]) == 2
-    for line in ("out=\n", "format=\n"):
-        path = tmp_path / "bench.cfg"
+    for line in ("--out=\n", "--format=\n"):
+        path = tmp_path / "bench.args"
         path.write_text(line)
-        assert cli.main(base + ["--config", str(path)]) == 2
+        assert cli.main(base + [f"@{path}"]) == 2
     assert cli.main(["weights-dump", "--gamma", "0.5", "--n-max", "4", "--out", ""]) == 2
 
 
@@ -514,7 +486,19 @@ def test_cli_bad_reference_file_exit_code(tmp_path):
     assert cli.main(argv + [str(tmp_path / "text.npy")]) == 2
 
 
-def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch, capsys):
+def test_cli_argument_file(tmp_path, monkeypatch, capsys):
+    """@FILE is replaced by the flags in FILE, read in order with the rest by
+    the one parser: a line splits at whitespace and # starts a comment, the
+    last single-valued flag wins and repeatable flags add up.  An unknown
+    flag or a bad value in a file is named; these, a missing file, a file
+    naming a file and --config all exit 2."""
+    path, out = tmp_path / "p.args", tmp_path / "t.md"
+    path.write_text(f"# a whole call\nexample2 --alpha 0.5\n\n--N 5 --N 10  # two\n"
+                    f"--K 8\n--ref-N 160\n--schedule log:1,0\n--schedule exact\n"
+                    f"--format md --out {out}\n")
+    assert cli.main([f"@{path}"]) == 0
+    text = out.read_text()
+    assert text.count("### alpha =") == 1 and "| log:1,0 |" in text and "| N=10 |" in text
     seen = []
 
     def capture(cfg):
@@ -522,38 +506,25 @@ def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch, capsys):
         return ErrorTable(Ns=cfg.Ns, meta="#")
 
     monkeypatch.setattr(cli, "run_example1", capture)
-    path = tmp_path / "bench.cfg"
-    path.write_text("alhpa=0.5\n")
+    path.write_text("--K 32 --alpha 0.5\n")
+    for argv, K in (([f"@{path}", "--K", "16"], 16), (["--K", "16", f"@{path}"], 32)):
+        assert cli.main(["example1", *argv]) == 0
+        assert seen.pop() == ExperimentConfig(alphas=(0.5,), K=K)
+    assert cli.main(["example1", "--alpha", "0.25", f"@{path}", "--N", "5"]) == 0
+    assert seen.pop() == ExperimentConfig(alphas=(0.25, 0.5), Ns=(5,), K=32)
+    path.write_text("--paper-scale\n")
+    assert cli.main(["example1", f"@{path}"]) == 0
+    assert seen.pop() == ExperimentConfig(K=128)
+    for line, named in (("--alph 0.5", "--alph"), ("--K eight", "--K"), ("--N=", "--N"),
+                        ("--config other.args", "--config")):
+        path.write_text(f"--alpha 0.5\n{line}\n")
+        assert cli.main(["example1", f"@{path}"]) == 2
+        assert named in capsys.readouterr().err
+    path.write_text(f"--K 8\n@{path}\n")  # would otherwise read itself without end
+    assert cli.main(["example1", f"@{path}"]) == 2
+    assert cli.main(["example1", f"@{tmp_path / 'missing.args'}"]) == 2
     assert cli.main(["example1", "--config", str(path)]) == 2
-    path.write_text("alph=0.5\n")  # reported with the file, line and key
-    assert cli.main(["example1", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"{path}:1" in err and "alph" in err
-    path.write_text("alpha=0.5\n\nK0=4\nnu3=1\n")
-    assert cli.main(["example1", "--config", str(path)]) == 2
-    assert f"{path}:4" in capsys.readouterr().err
-    path.write_text("alpha=0.5\nK=eight\n")  # so is a bad value, with its flag
-    assert cli.main(["example1", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"{path}:2" in err and "--K" in err
-    path.write_text("format=xml\n")
-    assert cli.main(["example1", "--config", str(path)]) == 2
-    assert f"{path}:1" in capsys.readouterr().err
-    path.write_text(f"alpha=0.5\npaper-scale=yes\nformat=csv\nout={tmp_path / 't.csv'}\n")
-    assert cli.main(["example1", "--config", str(path)]) == 0
-    assert seen == [ExperimentConfig(alphas=(0.5,), K=128)]
-    # keys and flags are spelled in full, a file names no other file, and an
-    # empty list value is refused rather than read as the defaults
-    for bad in ("paper-scale=ture\n", "K=64\npaper-scale=yes\n", "alph=0.5\n",
-                "config=other.cfg\n", "alpha=\n", "N=\n", "seed=0\n"):
-        path.write_text(bad)
-        assert cli.main(["example1", "--config", str(path)]) == 2
-    assert cli.main(["example1", "--alph", "0.5"]) == 2
-    assert cli.main(["example1", "--seed", "0"]) == 2  # kappa's start vector is fixed
-    assert len(seen) == 1
-    monkeypatch.setattr(cli, "run_example1", run_example1)  # the runner checks the rows
-    path.write_text("schedule=\n")
-    assert cli.main(["example1", "--config", str(path)]) == 2
+    assert seen == []
 
 
 def test_cli_numerics_error_exit_code(monkeypatch):
@@ -565,7 +536,7 @@ def test_cli_numerics_error_exit_code(monkeypatch):
 
 
 def test_cli_missing_config_file():
-    assert cli.main(["example1", "--config", "/nonexistent/p.cfg"]) == 2
+    assert cli.main(["example1", "@/nonexistent/p.args"]) == 2
 
 
 def test_cli_weights_dump_domain_error():
@@ -573,7 +544,7 @@ def test_cli_weights_dump_domain_error():
     assert cli.main(["weights-dump", "--gam", "0.5", "--n-max", "2"]) == 2  # flags in full
 
 
-def test_cli_paper_scale_flag(tmp_path, monkeypatch):
+def test_cli_paper_scale_flag(monkeypatch):
     seen = {}
 
     def capture(cfg):
@@ -588,19 +559,11 @@ def test_cli_paper_scale_flag(tmp_path, monkeypatch):
     assert seen["cfg"] == ExperimentConfig()
     assert cli.main(["example1", "--paper-scale"]) == 0
     assert seen["cfg"] == ExperimentConfig(K=128)
-    # the later of --K and --paper-scale wins, and a flag beats the file's
-    # paper-scale
+    # the later of --K and --paper-scale wins
     assert cli.main(["example1", "--paper-scale", "--K", "16"]) == 0
     assert seen["cfg"].K == 16
     assert cli.main(["example1", "--K", "16", "--paper-scale"]) == 0
     assert seen["cfg"].K == 128
-    path = tmp_path / "bench.cfg"
-    path.write_text("paper-scale=yes\n")
-    assert cli.main(["example1", "--config", str(path), "--K", "16"]) == 0
-    assert seen["cfg"] == ExperimentConfig(K=16)
-    path.write_text("paper-scale=No\nK=32\n")
-    assert cli.main(["example1", "--config", str(path)]) == 0
-    assert seen["cfg"] == ExperimentConfig(K=32)
 
 
 def test_cli_subprocess_entry(tmp_path):
