@@ -486,12 +486,10 @@ def test_cli_bad_reference_file_exit_code(tmp_path):
     assert cli.main(argv + [str(tmp_path / "text.npy")]) == 2
 
 
-def test_cli_argument_file(tmp_path, monkeypatch, capsys):
+def test_cli_config_file_with_flag_override(tmp_path, monkeypatch):
     """@FILE is replaced by the flags in FILE, read in order with the rest by
     the one parser: a line splits at whitespace and # starts a comment, the
-    last single-valued flag wins and repeatable flags add up.  An unknown
-    flag or a bad value in a file is named; these, a missing file, a file
-    naming a file and --config all exit 2."""
+    last single-valued flag wins and repeatable flags add up."""
     path, out = tmp_path / "p.args", tmp_path / "t.md"
     path.write_text(f"# a whole call\nexample2 --alpha 0.5\n\n--N 5 --N 10  # two\n"
                     f"--K 8\n--ref-N 160\n--schedule log:1,0\n--schedule exact\n"
@@ -515,6 +513,20 @@ def test_cli_argument_file(tmp_path, monkeypatch, capsys):
     path.write_text("--paper-scale\n")
     assert cli.main(["example1", f"@{path}"]) == 0
     assert seen.pop() == ExperimentConfig(K=128)
+    assert seen == []
+
+
+def test_cli_rejects_unknown_config_key(tmp_path, monkeypatch, capsys):
+    """An unknown flag or a bad value in an @FILE is named; these, a missing
+    file, a file naming a file and --config all exit 2 before any run."""
+    path = tmp_path / "p.args"
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return ErrorTable(Ns=cfg.Ns, meta="#")
+
+    monkeypatch.setattr(cli, "run_example1", capture)
     for line, named in (("--alph 0.5", "--alph"), ("--K eight", "--K"), ("--N=", "--N"),
                         ("--config other.args", "--config")):
         path.write_text(f"--alpha 0.5\n{line}\n")
