@@ -31,5 +31,6 @@ for label, traj in (("exact", run_exact(spec)),
     cost[label] = np.mean(steps)
     print(f"{label:>6}: mean {1e3 * cost[label]:.3f} ms/step over {len(steps)} steps")
 print(f"\nHere a step of two V-cycles costs {cost['m=2'] / cost['exact']:.1f} times an")
-print("exact step (a backsolve with the factor built once).  ROADMAP item 7")
-print("measured the exact step as the cheaper one for the stock rows up to K=512.")
+print("exact step (a backsolve with the factor built once).  At K=256 a V-cycle")
+print("costs a third of a banded solve; where the two break even depends on the")
+print("host (ROADMAP item 7).")

@@ -5,7 +5,9 @@ operator is the Galerkin product P' B P of the level above it; on nested P1
 spaces that is the coarse mesh's own M + tau^alpha S, which the tests check by
 re-assembly.  Residuals are restricted with P', corrections prolonged with P
 (nodal linear interpolation), and the coarsest system is solved by a direct
-factorization.
+factorization.  Each level multiplies by DIA copies of its operator and
+sweeps with a factor of its transposed lower triangle; the coarse levels
+start from a zero guess that no sweep multiplies.
 
 One V(nu1, nu2) cycle is the unit of work the time stepper counts as one
 inner iteration.  Its error propagation E contracts in the energy-like norm
@@ -52,8 +54,10 @@ class DampedJacobi:
         if not 0.0 < self.omega <= 1.0:
             raise ConfigurationError(f"Jacobi damping must lie in (0, 1], got {self.omega}")
 
-    def sweep(self, level, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return x + self.omega * (rhs - level.B @ x) / level.diag
+    def sweep(self, level, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
+        if x is None:  # the zero guess
+            return self.omega * rhs / level.diag
+        return x + self.omega * (rhs - level.B_dia @ x) / level.diag
 
     def adjoint(self):
         """The B-adjoint sweep: a damped Jacobi sweep is B-self-adjoint."""
@@ -66,8 +70,9 @@ class GaussSeidelForward:
 
     name = "gs"
 
-    def sweep(self, level, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return level.lower_solve.solve(rhs - level.upper @ x)
+    def sweep(self, level, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
+        c = rhs if x is None else rhs - level.upper @ x
+        return level.lower_t.solve(c, trans="T")
 
     def adjoint(self):
         """The B-adjoint sweep, backward: x <- x + L^-T (rhs - B x), L = tril(B)."""
@@ -77,8 +82,10 @@ class GaussSeidelForward:
 class _GaussSeidelBackward:
     """One backward Gauss-Seidel sweep; it reuses the forward sweep's factor."""
 
-    def sweep(self, level, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return x + level.lower_solve.solve(rhs - level.B @ x, trans="T")
+    def sweep(self, level, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
+        if x is None:
+            return level.lower_t.solve(rhs)
+        return x + level.lower_t.solve(rhs - level.B_dia @ x)
 
 
 Smoother = DampedJacobi | GaussSeidelForward
@@ -88,14 +95,33 @@ class GridLevel:
     """Operator bundle for one mesh in the hierarchy."""
 
     def __init__(self, B: sp.csr_matrix):
-        self.B = B
-        self.diag = self.B.diagonal()
-        # built here, outside the cycles, for every smoother: the
-        # lower-triangular part factors without fill under the natural
-        # ordering, and its solve is an exact forward substitution
-        self.upper = sp.triu(self.B, 1).tocsr()
-        self.lower_solve = spla.splu(
-            sp.tril(self.B, 0).tocsc(), permc_spec="NATURAL")
+        self.B = B  # CSR: the Galerkin products and the operator checks read it
+        self.diag = B.diagonal()
+        # the cycle multiplies by DIA copies of B and of its strict upper
+        # triangle; their offsets ascend, so each row sums in the column order
+        # of a CSR B with sorted indices, and on finite data the products are
+        # the CSR ones bit for bit
+        self.B_dia = _dia(B)
+        up = self.B_dia.offsets > 0
+        self.upper = sp.dia_matrix((self.B_dia.data[up], self.B_dia.offsets[up]),
+                                   shape=B.shape)
+        # L = tril(B) read as CSC is L', upper triangular: it factors without
+        # fill or pivoting under the natural ordering, solve(c, trans="T") is
+        # plain forward substitution with L and solve(c) backward with L'
+        self.lower_t = spla.splu(sp.tril(B, 0, format="csr").T, permc_spec="NATURAL",
+                                 diag_pivot_thresh=0.0)
+
+
+def _dia(A: sp.csr_matrix) -> sp.dia_matrix:
+    """A square CSR matrix in DIA storage, offsets ascending."""
+    n = A.shape[0]
+    k = A.indices - np.repeat(np.arange(n), np.diff(A.indptr)) + n
+    offsets = np.flatnonzero(np.bincount(k, minlength=2 * n))
+    slot = np.empty(2 * n, dtype=np.intp)
+    slot[offsets] = np.arange(len(offsets))
+    data = np.zeros((len(offsets), n))
+    data[slot[k], A.indices] = A.data
+    return sp.dia_matrix((data, offsets - n), shape=A.shape)
 
 
 def prolongation_matrix(Kc: int) -> sp.csr_matrix:
@@ -141,7 +167,7 @@ class MgHierarchy:
         return len(self.levels)
 
     def weighted_norm(self, x: np.ndarray) -> float:
-        B = self.fine.B
+        B = self.fine.B_dia
         return float(np.sqrt(max(x @ (B @ x), 0.0)))
 
     @cached_property
@@ -225,10 +251,13 @@ def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
     return MgHierarchy(levels, prolongations, coarse_lu, smoother, nu1, nu2)
 
 
-def smooth(level: GridLevel, x: np.ndarray, rhs: np.ndarray,
+def smooth(level: GridLevel, x: np.ndarray | None, rhs: np.ndarray,
            kind: Smoother, sweeps: int = 1) -> np.ndarray:
-    """Apply ``sweeps`` smoothing sweeps; returns a new vector."""
-    x = np.asarray(x, dtype=float)
+    """Apply ``sweeps`` smoothing sweeps to the float vector x (``vcycle``
+    converts its input once).  ``x = None`` is the zero guess, whose first
+    sweep skips the product with x."""
+    if x is None and sweeps == 0:
+        return np.zeros_like(rhs)
     for _ in range(sweeps):
         x = kind.sweep(level, x, rhs)
     return x
@@ -245,13 +274,13 @@ def vcycle(h: MgHierarchy, x0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _cycle(h, h.n_levels - 1, x0, rhs)
 
 
-def _cycle(h: MgHierarchy, lvl: int, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _cycle(h: MgHierarchy, lvl: int, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
     if lvl == 0:
         return h.coarse_lu.solve(rhs)
     level = h.levels[lvl]
     x = smooth(level, x, rhs, h.smoother, h.nu1)
     R, P = h.restrictions[lvl - 1], h.prolongations[lvl - 1]
-    coarse_err = _cycle(h, lvl - 1, np.zeros(R.shape[0]), R @ (rhs - level.B @ x))
+    coarse_err = _cycle(h, lvl - 1, None, R @ (rhs - level.B_dia @ x))
     x = x + P @ coarse_err
     return smooth(level, x, rhs, h.smoother, h.nu2)
 

@@ -1,4 +1,5 @@
-"""V-cycle hierarchy, smoothers, direct solver, the cycle's contraction norm."""
+"""V-cycle hierarchy, smoothers, the lean cycle against the plain one, direct
+solver, the cycle's contraction norm."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 import subdiff.multigrid as multigrid
 from subdiff.errors import ConfigurationError, NumericsError
@@ -195,6 +197,109 @@ def test_gauss_seidel_matches_hand_sweep():
                  GaussSeidelForward(), sweeps=1)
     # forward substitution: x0 = 1/2; x1 = (2 - 1*0.5)/3 = 0.5
     np.testing.assert_allclose(out, [0.5, 0.5], rtol=1e-15)
+
+
+# ----------------------------------------------------------- lean cycle vs plain
+
+
+class PlainLevel:
+    """A level as first written: CSR products and a factor of L = tril(B)."""
+
+    def __init__(self, B):
+        self.B, self.diag = B, B.diagonal()
+        self.upper = sp.triu(B, 1).tocsr()
+        self.lower = splu(sp.tril(B, 0).tocsc(), permc_spec="NATURAL")
+
+
+def plain_sweep(kind, level, x, rhs):
+    if isinstance(kind, DampedJacobi):
+        return x + kind.omega * (rhs - level.B @ x) / level.diag
+    if isinstance(kind, GaussSeidelForward):
+        return level.lower.solve(rhs - level.upper @ x)
+    return x + level.lower.solve(rhs - level.B @ x, trans="T")  # backward
+
+
+def plain_cycle(h, levels, lvl, x, rhs):
+    """The oracle V-cycle: explicit zero guesses on the coarse levels."""
+    if lvl == 0:
+        return h.coarse_lu.solve(rhs)
+    level = levels[lvl]
+    for _ in range(h.nu1):
+        x = plain_sweep(h.smoother, level, x, rhs)
+    R, P = h.restrictions[lvl - 1], h.prolongations[lvl - 1]
+    coarse_err = plain_cycle(h, levels, lvl - 1, np.zeros(R.shape[0]),
+                             R @ (rhs - level.B @ x))
+    x = x + P @ coarse_err
+    for _ in range(h.nu2):
+        x = plain_sweep(h.smoother, level, x, rhs)
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.sampled_from([8, 16]), tau=st.floats(1e-4, 1.0), alpha=st.floats(0.05, 0.95),
+       smoother=st.sampled_from(["gs", "gs-backward", "jacobi", "jacobi-1"]),
+       nu=st.sampled_from([(1, 1), (0, 1), (1, 0), (2, 1)]),
+       zero_guess=st.booleans(), seed=st.integers(0, 2**16))
+def test_lean_cycle_matches_plain_oracle(small_systems, K, tau, alpha, smoother, nu,
+                                         zero_guess, seed):
+    """The DIA products and the skipped zero-guess products leave Jacobi
+    cycles bitwise the oracle's; GS solves with another factor of tril(B),
+    so it agrees to 1e-14 in the B-norm after 1 and after 5 cycles."""
+    kind = {"gs": GaussSeidelForward(), "gs-backward": GaussSeidelForward(),
+            "jacobi": DampedJacobi(), "jacobi-1": DampedJacobi(omega=1.0)}[smoother]
+    h = build_hierarchy(small_systems[K], tau, alpha, kind, *nu)
+    if smoother == "gs-backward":
+        h = adjoint_hierarchy(h)
+    levels = [PlainLevel(level.B) for level in h.levels]
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(h.fine.B.shape[0])
+    x = y = np.zeros(len(rhs)) if zero_guess else rng.standard_normal(len(rhs))
+    for cycles in range(1, 6):
+        x = vcycle(h, x, rhs)
+        y = plain_cycle(h, levels, h.n_levels - 1, y, rhs)
+        if smoother.startswith("jacobi"):
+            assert np.array_equal(x, y)
+        elif cycles in (1, 5):
+            assert h.weighted_norm(x - y) <= 1e-14 * h.weighted_norm(y)
+
+
+@pytest.mark.parametrize("K", [8, 16, 32])
+def test_dia_products_are_csr_products_bitwise(K):
+    h = build_hierarchy(assemble(build_mesh(K), 5.0), 0.01, 0.5, K0=2)
+    rng = np.random.default_rng(K)
+    for level in h.levels:
+        for dia, csr in ((level.B_dia, level.B), (level.upper, sp.triu(level.B, 1).tocsr())):
+            assert isinstance(dia, sp.dia_matrix)
+            assert np.all(np.diff(dia.offsets) > 0)
+            x = rng.standard_normal(level.B.shape[0])
+            assert np.array_equal(dia @ x, csr @ x)
+
+
+def test_sweeps_on_a_galerkin_level_are_triangular_solves(sys16):
+    """On a (not exactly symmetric) Galerkin coarse level the forward sweep
+    from zero solves tril(B) x = c and the backward one tril(B)' x = c."""
+    h = build_hierarchy(sys16, 0.01, 0.5, K0=2)
+    level = h.levels[-2]
+    L = np.tril(level.B.toarray())
+    c = np.random.default_rng(8).standard_normal(len(L))
+    for kind, T, lower in ((GaussSeidelForward(), L, True),
+                           (GaussSeidelForward().adjoint(), L.T, False)):
+        x = smooth(level, None, c, kind, 1)
+        ref = sla.solve_triangular(T, c, lower=lower)
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_zero_guess_sweeps_equal_sweeps_from_zeros(hier32_gs):
+    level = hier32_gs.levels[-2]
+    rhs = np.random.default_rng(9).standard_normal(level.B.shape[0])
+    zero = np.zeros(len(rhs))
+    for kind in (GaussSeidelForward(), GaussSeidelForward().adjoint(), DampedJacobi(),
+                 DampedJacobi(omega=1.0)):
+        for sweeps in (1, 2):
+            assert np.array_equal(smooth(level, None, rhs, kind, sweeps),
+                                  smooth(level, zero, rhs, kind, sweeps))
+        out = smooth(level, None, rhs, kind, 0)
+        assert out.shape == rhs.shape and not out.any()
 
 
 # ----------------------------------------------------------- direct solver
