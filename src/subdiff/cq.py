@@ -35,9 +35,12 @@ __all__ = [
 _MAX_TABLE_LEN = 2**27
 
 # Steps per lag block: a block sums its far lags once, as one GEMM, while its
-# own vectors stay in cache.  With exact far weights, the K=64, N=5120
-# reference took 7.1-7.9 s for blocks of 64 to 256 (2-core Xeon, 1 thread).
-HISTORY_BLOCK = 128
+# own vectors stay in cache.  History.next over N=5120 steps at K=64 took
+# 326/311/341/658 ms for blocks of 32/48/64/128, and over N=320 at K=128
+# 71/80/94/142 ms (2-core Xeon, 1 BLAS thread); at 48 the block buffer is
+# 1.5 MB at K=64 and 6.3 MB at K=128.  Runs of N <= 48, such as the K=16
+# golden tables' N=40 cells, use no far-lag fit.
+HISTORY_BLOCK = 48
 
 # N times the end of the first far-lag quadrature panel [0, lo]: there the
 # factor (1-u)^(j-1) of every lag j <= N falls at most to exp(-0.512), smooth
@@ -122,9 +125,11 @@ def soe_fit(gamma: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     Quadrature: 12-node Gauss-Jacobi with weight u^gamma on [0, lo], where
     lo = SOE_LO_N / N; 8-node Gauss-Legendre on the dyadic panels from lo up
     to 0.5; 12-node Gauss-Jacobi with weight (1-u)^(-gamma) on [0.5, 1].
-    That is 96 modes at N = 320 and 128 at N = 5120; the relative weight
-    error stays below 2.95e-12 for N from 129 to 20480 and gamma from 0.05 to
-    0.95.  For gamma >= 1 the integral of b_1 diverges.
+    That is 72 modes at N = 49, 96 at N = 320 and 128 at N = 5120.  The
+    worst relative weight error is 3.25e-12 (N = 66, gamma = 0.95) over N
+    from 49, the smallest N that uses the fit, to 128 and gamma from 0.05 to
+    0.95, and below 2.95e-12 for N from 129 to 20480.  For gamma >= 1 the
+    integral of b_1 diverges.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"the far-lag fit needs an order in (0, 1), got {gamma}")

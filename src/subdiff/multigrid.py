@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericsError, is_int
-from .fem import Factor, FemSystem
+from .fem import Factor, FemSystem, _dia
 
 __all__ = [
     "DampedJacobi",
@@ -98,9 +98,7 @@ class GridLevel:
         self.B = B  # CSR: the Galerkin products and the operator checks read it
         self.diag = B.diagonal()
         # the cycle multiplies by DIA copies of B and of its strict upper
-        # triangle; their offsets ascend, so each row sums in the column order
-        # of a CSR B with sorted indices, and on finite data the products are
-        # the CSR ones bit for bit
+        # triangle, bitwise the CSR products (see fem._dia)
         self.B_dia = _dia(B)
         up = self.B_dia.offsets > 0
         self.upper = sp.dia_matrix((self.B_dia.data[up], self.B_dia.offsets[up]),
@@ -110,18 +108,6 @@ class GridLevel:
         # plain forward substitution with L and solve(c) backward with L'
         self.lower_t = spla.splu(sp.tril(B, 0, format="csr").T, permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0)
-
-
-def _dia(A: sp.csr_matrix) -> sp.dia_matrix:
-    """A square CSR matrix in DIA storage, offsets ascending."""
-    n = A.shape[0]
-    k = A.indices - np.repeat(np.arange(n), np.diff(A.indptr)) + n
-    offsets = np.flatnonzero(np.bincount(k, minlength=2 * n))
-    slot = np.empty(2 * n, dtype=np.intp)
-    slot[offsets] = np.arange(len(offsets))
-    data = np.zeros((len(offsets), n))
-    data[slot[k], A.indices] = A.data
-    return sp.dia_matrix((data, offsets - n), shape=A.shape)
 
 
 def prolongation_matrix(Kc: int) -> sp.csr_matrix:
@@ -289,7 +275,7 @@ class DirectSolver:
     """Factorization of an SPD matrix with a residual guarantee."""
 
     def __init__(self, B: sp.spmatrix):
-        self._factor = Factor(B.tocsr())
+        self._factor = Factor(B)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._factor.solve(rhs)

@@ -9,7 +9,7 @@ step with a direct factorization; ``run_iis`` solves steps beyond a short
 exact startup approximately, starting from the extrapolated guess
 2 U^{n-1} - U^{n-2} and applying a scheduled number M_n of multigrid V-cycles.
 The history sum comes from the streamed ``cq.History``: exact weights for the
-lags within the current block of 128 steps, a sum-of-exponentials fit for the
+lags within the current block of 48 steps, a sum-of-exponentials fit for the
 older ones.  A run keeps U^0, the extrapolation pair U^{n-1}, U^{n-2}, one
 block buffer and the fit's modes, never the whole trajectory; it returns the
 final vector and the per-step records.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .cq import History, TimeGrid, gen_weights
 from .errors import ConfigurationError, NumericsError, is_int
-from .fem import FemSystem, l2_norm, l2_project, load_vector
+from .fem import FemSystem, _dia, l2_norm, l2_project, load_vector
 from .multigrid import DirectSolver, MgHierarchy, vcycle
 
 __all__ = [
@@ -257,10 +257,11 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
     u = u_prev = u0  # U^{n-1} and U^{n-2}
     records = []
     history = History(weights, N, sys.dim)
+    M = _dia(sys.M)
     for n in range(1, N + 1):
         t0 = time.perf_counter()
         t_n = n * tau
-        r = sys.M @ (weights.partial_sums[n] * u0 - history.next(u))
+        r = M @ (weights.partial_sums[n] * u0 - history.next(u))
         if spec.source is not None:
             r = r + taua * spec.source.load_at(sys, t_n)
         if schedule.exact(n):

@@ -138,7 +138,7 @@ def streamed_sums(table, U, N):
 
 B = HISTORY_BLOCK
 # Far lags (beyond the current block) come from the sum-of-exponentials fit,
-# whose relative weight error is at most 2.95e-12 for 129 <= N <= 20480 and
+# whose relative weight error is at most 3.25e-12 for 49 <= N <= 20480 and
 # gamma in [0.05, 0.95]; a far-lag sum is off by at most that much of
 # sum_j |b_j| |U^{n-j}|.  Near lags keep the exact weights and 1e-13.
 SOE_REL = 1e-11

@@ -1,6 +1,7 @@
 """Mesh, assembly, loads, projections, and norms."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import (Factor, assemble, build_mesh, l2_error_vs_function, l2_norm,
                          l2_project, load_vector, ritz_project, _QUAD_BARY,
-                         _QUAD_W)
+                         _QUAD_W, _dia)
 from subdiff.multigrid import build_hierarchy
 
 
@@ -274,7 +275,9 @@ def test_factor_refines_once_then_raises(eps, refined):
     factor.lu = _CountingLU(spla.splu((A + eps * sp.identity(sys.dim)).tocsc()))
     if refined:
         x = factor.solve(rhs)
-        assert np.linalg.norm(rhs - A @ x) <= 1e-12 * np.linalg.norm(rhs)
+        backward = np.abs(rhs - A @ x).max() / (
+            abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+        assert backward <= 1e-14
     else:
         with pytest.raises(NumericsError, match="residual tolerance"):
             factor.solve(rhs)
@@ -295,6 +298,48 @@ def test_factor_matches_sparse_lu(K, tau, alpha):
         x = factor.solve(rhs)
         ref = spla.splu(A.tocsc()).solve(rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("K", [8, 16, 32])
+def test_dia_copies_of_m_s_b_are_csr_products_bitwise(K):
+    """The DIA copies of M, S and B multiply as the CSR matrices do, bit for
+    bit, and so does that of a non-banded SPD matrix."""
+    sys = assemble(build_mesh(K), 5.0)
+    rng = np.random.default_rng(K)
+    R = sp.random(60, 60, density=0.05, random_state=K)
+    spd = (R + R.T + 10.0 * sp.identity(60)).tocoo().tocsr()
+    for A in (sys.M, sys.S, sys.system_matrix(0.01, 0.5), spd):
+        dia = _dia(A)
+        assert isinstance(dia, sp.dia_matrix) and np.all(np.diff(dia.offsets) > 0)
+        x = rng.standard_normal(A.shape[0])
+        assert np.array_equal(dia @ x, A @ x)
+    assert len(_dia(spd).offsets) > 60  # far from banded
+
+
+def test_factor_solve_is_the_banded_solve_bitwise():
+    """A solve that passes the check returns the banded solve untouched; a
+    refined one adds the solve of the CSR residual."""
+    sys = assemble(build_mesh(16), 5.0)
+    rhs = np.random.default_rng(3).standard_normal(sys.dim)
+    for A in (sys.system_matrix(0.01, 0.5), sys.M, sys.S):
+        factor = Factor(A)
+        assert np.array_equal(factor.solve(rhs), factor.lu.solve(rhs))
+    A = sys.system_matrix(0.01, 0.5)
+    factor = Factor(A)
+    factor.lu = spla.splu((A + 1e-9 * sp.identity(sys.dim)).tocsc())
+    x0 = factor.lu.solve(rhs)
+    assert np.array_equal(factor.solve(rhs), x0 + factor.lu.solve(rhs - A @ x0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factor_rejects_a_non_finite_solution(bad):
+    sys = assemble(build_mesh(8), 1.0)
+    factor = Factor(sys.M)
+    solve = factor.lu.solve
+    factor.lu = SimpleNamespace(solve=lambda rhs: np.where(np.arange(len(rhs)) == 5, bad,
+                                                           solve(rhs)))
+    with pytest.raises(NumericsError, match="residual tolerance"):
+        factor.solve(np.ones(sys.dim))
 
 
 def test_factor_rejects_indefinite_and_non_finite():
