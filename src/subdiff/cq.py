@@ -160,7 +160,10 @@ class History:
     through the modes G_k = sum_{i<n0} s_k^(n0-i) U^i: the block's far rows
     are one product F @ G, with F[r, k] = w_k s_k^r, and at the next block
     G <- s^nb G + E @ U^{n0..n0+nb-1}, with E[k, i] = s_k^(nb-i).  Only G and
-    one (nb+1)-row buffer are kept, whatever N is.
+    one (nb+1)-row buffer are kept, whatever N is.  G is allocated as zeros
+    by the first far-lag block (step HISTORY_BLOCK + 1), not before, so a
+    run's startup factor can be freed before it exists; with N <=
+    HISTORY_BLOCK it is never made and ``modes`` stays None.
     """
 
     def __init__(self, table: WeightTable, N: int, dim: int):
@@ -173,13 +176,15 @@ class History:
             r = np.arange(HISTORY_BLOCK)
             self.far_w = w * s ** r[:, None]
             self.push_w = s[:, None] ** (HISTORY_BLOCK - r)  # column 0 is s^nb
-            self.modes = np.zeros((len(s), dim))
+        self.modes = None  # G, allocated by the first far-lag block
 
     def next(self, u: np.ndarray) -> np.ndarray:
         """Record U^{n-1} = u and return the history sum of step n."""
         B, buf, L = HISTORY_BLOCK, self.buf, len(self.table)
         r, n0 = self.n % B, self.n - self.n % B
         if n0 and not r:
+            if n0 == B:
+                self.modes = np.zeros((len(self.push_w), buf.shape[1]))
             # G in place: a temporary of its size raised the iis peak RSS
             self.modes *= self.push_w[:, :1]
             dgemm(1.0, buf[:B].T, self.push_w.T, beta=1.0, c=self.modes.T,

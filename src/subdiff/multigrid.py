@@ -96,12 +96,14 @@ class GridLevel:
 
     def __init__(self, B: sp.csr_matrix):
         self.B = B  # CSR: the Galerkin products and the operator checks read it
-        self.diag = B.diagonal()
-        # the cycle multiplies by DIA copies of B and of its strict upper
-        # triangle, bitwise the CSR products (see fem._dia)
+        # the cycle multiplies by a DIA copy of B and by its strict upper
+        # triangle, bitwise the CSR products (see fem._dia).  Offsets ascend,
+        # so the triangle views the copy's trailing rows and the diagonal is
+        # its offset-0 row: one array per level
         self.B_dia = _dia(B)
-        up = self.B_dia.offsets > 0
-        self.upper = sp.dia_matrix((self.B_dia.data[up], self.B_dia.offsets[up]),
+        d = int(np.searchsorted(self.B_dia.offsets, 0))
+        self.diag = self.B_dia.data[d]
+        self.upper = sp.dia_matrix((self.B_dia.data[d + 1:], self.B_dia.offsets[d + 1:]),
                                    shape=B.shape)
         # L = tril(B) read as CSC is L', upper triangular: it factors without
         # fill or pivoting under the natural ordering, solve(c, trans="T") is

@@ -11,8 +11,12 @@ exact startup approximately, starting from the extrapolated guess
 The history sum comes from the streamed ``cq.History``: exact weights for the
 lags within the current block of 48 steps, a sum-of-exponentials fit for the
 older ones.  A run keeps U^0, the extrapolation pair U^{n-1}, U^{n-2}, one
-block buffer and the fit's modes, never the whole trajectory; it returns the
-final vector and the per-step records.
+block buffer and, from step 49 on, the fit's modes, never the whole
+trajectory; it returns the final vector and the per-step records.  It holds
+one band factor at a time: U^0 is projected (an L2 projection factors M)
+before B is factored, and ``run_iis`` frees B's factor after the exact
+startup steps, so with at most 48 startup steps the factor is gone before
+the modes are made.
 """
 
 import logging
@@ -251,13 +255,14 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
         if fine.shape != B.shape or not abs(fine - B).max() <= 1e-12 * abs(B).max():
             raise ConfigurationError("hierarchy was built for a different step operator")
     weights = gen_weights(spec.alpha, N)
+    M = _dia(sys.M)
+    u0 = spec.initial.vector(sys)  # before B is factored: an L2 projection factors M
     direct = DirectSolver(B)
+    del B  # the factor keeps its own DIA copy for the residual check
 
-    u0 = spec.initial.vector(sys)
     u = u_prev = u0  # U^{n-1} and U^{n-2}
     records = []
     history = History(weights, N, sys.dim)
-    M = _dia(sys.M)
     for n in range(1, N + 1):
         t0 = time.perf_counter()
         t_n = n * tau

@@ -211,6 +211,21 @@ def test_history_within_one_block_is_bitwise_the_gemv():
             assert np.array_equal(hist, table.reversed_weights[L - 1 - n:L - 1] @ U[:n])
 
 
+def test_history_allocates_its_modes_at_the_first_far_lag_block():
+    """No far-lag modes exist through step HISTORY_BLOCK, and none at all
+    when N <= HISTORY_BLOCK; a longer run makes them for step B + 1."""
+    for N in (B - 1, B, B + 1, 2 * B + 3):
+        table = gen_weights(0.5, N)
+        U = np.random.default_rng(N).standard_normal((N + 1, 3))
+        history = History(table, N, 3)
+        for n in range(1, N + 1):
+            history.next(U[n - 1])
+            if n <= B:
+                assert history.modes is None
+            else:
+                assert history.modes.shape == (len(soe_fit(0.5, N)[0]), 3)
+
+
 def test_history_sums_read_only_the_past():
     """The n-th sum is drawn while U^n.. are still unwritten."""
     N = 2 * B + 3

@@ -268,6 +268,11 @@ def test_dia_products_are_csr_products_bitwise(K):
     h = build_hierarchy(assemble(build_mesh(K), 5.0), 0.01, 0.5, K0=2)
     rng = np.random.default_rng(K)
     for level in h.levels:
+        # one array per level: the triangle and the diagonal view B_dia's rows
+        assert np.array_equal(level.diag, level.B.diagonal())
+        assert np.shares_memory(level.diag, level.B_dia.data)
+        assert level.upper.data.size == 0 or np.shares_memory(level.upper.data,
+                                                              level.B_dia.data)
         for dia, csr in ((level.B_dia, level.B), (level.upper, sp.triu(level.B, 1).tocsr())):
             assert isinstance(dia, sp.dia_matrix)
             assert np.all(np.diff(dia.offsets) > 0)

@@ -15,7 +15,7 @@ from subdiff.bench import example_problem
 from subdiff.cq import (HISTORY_BLOCK, TimeGrid, gen_weights, rl_integral_oracle,
                         soe_fit)
 from subdiff.errors import ConfigurationError, NumericsError
-from subdiff.fem import FemSystem, assemble, build_mesh, l2_norm
+from subdiff.fem import Factor, FemSystem, assemble, build_mesh, l2_norm
 from subdiff.multigrid import DirectSolver, GaussSeidelForward, build_hierarchy
 from subdiff.stepping import (ExactSchedule, LogSchedule, ProblemSpec,
                               SeparableSource, TheoryNonsmoothData,
@@ -131,6 +131,30 @@ def test_run_keeps_no_trajectory():
     grows = 8 * (3 * (5120 - 1280) + (modes[1] - modes[0]) * (sys.dim + 2 * HISTORY_BLOCK))
     assert work_b - work_a < grows + (HISTORY_BLOCK + 1) * vector
     assert held_b - held_a < (5120 - 1280) * vector
+
+
+def test_run_iis_holds_one_band_factor_at_a_time():
+    """The L2 projection of U^0 is done before the step operator is factored,
+    and the far-lag modes are made after the startup factor is freed.  So at
+    K=64 (example 2, log:3,6, N=64) the run's peak live bytes above its start
+    stay within the larger of one band factor and the fit's modes, plus one
+    block buffer, plus 1.5 MB; holding two factors, or a factor beside the
+    modes, adds 2 MB."""
+    N = 64
+    sys = assemble(build_mesh(64), 5.0)
+    spec = example_problem(2, sys, 0.5, N)
+    h = build_hierarchy(sys, spec.grid.tau, 0.5)
+    factor = Factor(sys.system_matrix(spec.grid.tau, 0.5)).lu.cb.nbytes
+    modes = 8 * len(soe_fit(0.5, N)[0]) * sys.dim
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        traj = run_iis(spec, LogSchedule(a=3, b=6), h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.exact for r in traj.records) == 2
+    assert peak - start <= max(factor, modes) + 8 * (HISTORY_BLOCK + 1) * sys.dim + 1.5e6
 
 
 # ------------------------------------------------------------- schedules
