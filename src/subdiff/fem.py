@@ -168,23 +168,6 @@ def _scatter_to_interior(mesh: Mesh2D, Fe: np.ndarray) -> np.ndarray:
     return F
 
 
-def _dia(A: sp.csr_matrix) -> sp.dia_matrix:
-    """A square CSR matrix in DIA storage, offsets ascending.
-
-    Each row of the DIA product then sums in the column order of a CSR
-    matrix with sorted indices, so on finite data the two products agree
-    bit for bit.
-    """
-    n = A.shape[0]
-    k = A.indices - np.repeat(np.arange(n), np.diff(A.indptr)) + n
-    offsets = np.flatnonzero(np.bincount(k, minlength=2 * n))
-    slot = np.empty(2 * n, dtype=np.intp)
-    slot[offsets] = np.arange(len(offsets))
-    data = np.zeros((len(offsets), n))
-    data[slot[k], A.indices] = A.data
-    return sp.dia_matrix((data, offsets - n), shape=A.shape)
-
-
 class _BandedCholesky:
     """LAPACK Cholesky factor of an SPD matrix in upper band storage.  The
     bandwidth is read off the matrix: K for B, M and S in lexicographic order."""
@@ -218,9 +201,9 @@ class Factor:
     """
 
     def __init__(self, A: sp.spmatrix):
+        self.A = A.todia()  # the residual product, bitwise CSR's; a DIA A is shared
         A = A.tocsr()
         self.lu = _BandedCholesky(A)
-        self.A = _dia(A)  # the residual product, bitwise the CSR one
         self.norm_A = float(abs(A).sum(axis=1).max())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

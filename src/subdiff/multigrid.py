@@ -5,7 +5,7 @@ operator is the Galerkin product P' B P of the level above it; on nested P1
 spaces that is the coarse mesh's own M + tau^alpha S, which the tests check by
 re-assembly.  Residuals are restricted with P', corrections prolonged with P
 (nodal linear interpolation), and the coarsest system is solved by a direct
-factorization.  Each level multiplies by DIA copies of its operator and
+factorization.  Each level keeps its operator in DIA storage only and
 sweeps with a factor of its transposed lower triangle; the coarse levels
 start from a zero guess that no sweep multiplies.
 
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericsError, is_int
-from .fem import Factor, FemSystem, _dia
+from .fem import Factor, FemSystem
 
 __all__ = [
     "DampedJacobi",
@@ -57,7 +57,7 @@ class DampedJacobi:
     def sweep(self, level, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
         if x is None:  # the zero guess
             return self.omega * rhs / level.diag
-        return x + self.omega * (rhs - level.B_dia @ x) / level.diag
+        return x + self.omega * (rhs - level.B @ x) / level.diag
 
     def adjoint(self):
         """The B-adjoint sweep: a damped Jacobi sweep is B-self-adjoint."""
@@ -85,7 +85,7 @@ class _GaussSeidelBackward:
     def sweep(self, level, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
         if x is None:
             return level.lower_t.solve(rhs)
-        return x + level.lower_t.solve(rhs - level.B_dia @ x)
+        return x + level.lower_t.solve(rhs - level.B @ x)
 
 
 Smoother = DampedJacobi | GaussSeidelForward
@@ -95,15 +95,13 @@ class GridLevel:
     """Operator bundle for one mesh in the hierarchy."""
 
     def __init__(self, B: sp.csr_matrix):
-        self.B = B  # CSR: the Galerkin products and the operator checks read it
-        # the cycle multiplies by a DIA copy of B and by its strict upper
-        # triangle, bitwise the CSR products (see fem._dia).  Offsets ascend,
-        # so the triangle views the copy's trailing rows and the diagonal is
-        # its offset-0 row: one array per level
-        self.B_dia = _dia(B)
-        d = int(np.searchsorted(self.B_dia.offsets, 0))
-        self.diag = self.B_dia.data[d]
-        self.upper = sp.dia_matrix((self.B_dia.data[d + 1:], self.B_dia.offsets[d + 1:]),
+        # the level's one copy of B, in DIA storage with ascending offsets:
+        # the strict upper triangle views its trailing rows and the diagonal
+        # is its offset-0 row
+        self.B = B.todia()
+        d = int(np.searchsorted(self.B.offsets, 0))
+        self.diag = self.B.data[d]
+        self.upper = sp.dia_matrix((self.B.data[d + 1:], self.B.offsets[d + 1:]),
                                    shape=B.shape)
         # L = tril(B) read as CSC is L', upper triangular: it factors without
         # fill or pivoting under the natural ordering, solve(c, trans="T") is
@@ -155,7 +153,7 @@ class MgHierarchy:
         return len(self.levels)
 
     def weighted_norm(self, x: np.ndarray) -> float:
-        B = self.fine.B_dia
+        B = self.fine.B
         return float(np.sqrt(max(x @ (B @ x), 0.0)))
 
     @cached_property
@@ -268,7 +266,7 @@ def _cycle(h: MgHierarchy, lvl: int, x: np.ndarray | None, rhs: np.ndarray) -> n
     level = h.levels[lvl]
     x = smooth(level, x, rhs, h.smoother, h.nu1)
     R, P = h.restrictions[lvl - 1], h.prolongations[lvl - 1]
-    coarse_err = _cycle(h, lvl - 1, None, R @ (rhs - level.B_dia @ x))
+    coarse_err = _cycle(h, lvl - 1, None, R @ (rhs - level.B @ x))
     x = x + P @ coarse_err
     return smooth(level, x, rhs, h.smoother, h.nu2)
 

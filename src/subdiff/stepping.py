@@ -28,7 +28,7 @@ import numpy as np
 
 from .cq import History, TimeGrid, gen_weights
 from .errors import ConfigurationError, NumericsError, is_int
-from .fem import FemSystem, _dia, l2_norm, l2_project, load_vector
+from .fem import FemSystem, l2_norm, l2_project, load_vector
 from .multigrid import DirectSolver, MgHierarchy, vcycle
 
 __all__ = [
@@ -255,7 +255,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
         if fine.shape != B.shape or not abs(fine - B).max() <= 1e-12 * abs(B).max():
             raise ConfigurationError("hierarchy was built for a different step operator")
     weights = gen_weights(spec.alpha, N)
-    M = _dia(sys.M)
+    M = sys.M.todia()
     u0 = spec.initial.vector(sys)  # before B is factored: an L2 projection factors M
     direct = DirectSolver(B)
     del B  # the factor keeps its own DIA copy for the residual check

@@ -116,7 +116,7 @@ def test_c05_galerkin_coarsening(system_store):
         h = build_hierarchy(sys, tau, alpha, GaussSeidelForward(), K0=4)
         for i, P in enumerate(h.prolongations):
             dev = abs((P.T @ h.levels[i + 1].B @ P) - h.levels[i].B).max()
-            rel = dev / abs(h.levels[i].B).max()
+            rel = dev / abs(h.levels[i].B.tocsr()).max()
             crit.check(rel <= 1e-12,
                        f"tau^a={tau**alpha:.0e} level {i}: {rel:.2e}")
     crit.finish()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import (Factor, assemble, build_mesh, l2_error_vs_function, l2_norm,
                          l2_project, load_vector, ritz_project, _QUAD_BARY,
-                         _QUAD_W, _dia)
+                         _QUAD_W)
 from subdiff.multigrid import build_hierarchy
 
 
@@ -302,18 +302,20 @@ def test_factor_matches_sparse_lu(K, tau, alpha):
 
 @pytest.mark.parametrize("K", [8, 16, 32])
 def test_dia_copies_of_m_s_b_are_csr_products_bitwise(K):
-    """The DIA copies of M, S and B multiply as the CSR matrices do, bit for
-    bit, and so does that of a non-banded SPD matrix."""
+    """scipy's DIA copies of M, S and B have ascending offsets and multiply
+    as the CSR matrices do, bit for bit, and so does that of a non-banded SPD
+    matrix, whose conversion warns."""
     sys = assemble(build_mesh(K), 5.0)
     rng = np.random.default_rng(K)
-    R = sp.random(60, 60, density=0.05, random_state=K)
+    R = sp.random(60, 60, density=0.1, random_state=K)  # 109-115 diagonals
     spd = (R + R.T + 10.0 * sp.identity(60)).tocoo().tocsr()
-    for A in (sys.M, sys.S, sys.system_matrix(0.01, 0.5), spd):
-        dia = _dia(A)
+    with pytest.warns(sp.SparseEfficiencyWarning):  # more than 100 diagonals
+        far = spd.todia()
+    banded = (sys.M, sys.S, sys.system_matrix(0.01, 0.5))
+    for A, dia in [(A, A.todia()) for A in banded] + [(spd, far)]:
         assert isinstance(dia, sp.dia_matrix) and np.all(np.diff(dia.offsets) > 0)
         x = rng.standard_normal(A.shape[0])
         assert np.array_equal(dia @ x, A @ x)
-    assert len(_dia(spd).offsets) > 60  # far from banded
 
 
 def test_factor_solve_is_the_banded_solve_bitwise():

@@ -1,6 +1,8 @@
 """V-cycle hierarchy, smoothers, the lean cycle against the plain one, direct
 solver, the cycle's contraction norm."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -250,7 +252,7 @@ def test_lean_cycle_matches_plain_oracle(small_systems, K, tau, alpha, smoother,
     h = build_hierarchy(small_systems[K], tau, alpha, kind, *nu)
     if smoother == "gs-backward":
         h = adjoint_hierarchy(h)
-    levels = [PlainLevel(level.B) for level in h.levels]
+    levels = [PlainLevel(level.B.tocsr()) for level in h.levels]
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(h.fine.B.shape[0])
     x = y = np.zeros(len(rhs)) if zero_guess else rng.standard_normal(len(rhs))
@@ -265,19 +267,46 @@ def test_lean_cycle_matches_plain_oracle(small_systems, K, tau, alpha, smoother,
 
 @pytest.mark.parametrize("K", [8, 16, 32])
 def test_dia_products_are_csr_products_bitwise(K):
-    h = build_hierarchy(assemble(build_mesh(K), 5.0), 0.01, 0.5, K0=2)
+    """Each level holds its operator once, in DIA storage, and its products
+    with B and with the strict upper triangle are those of the Galerkin CSR
+    products, bit for bit."""
+    sys = assemble(build_mesh(K), 5.0)
+    h = build_hierarchy(sys, 0.01, 0.5, K0=2)
+    Bs = [sys.system_matrix(0.01, 0.5)]
+    for P in h.prolongations[::-1]:
+        Bs.append((P.T @ Bs[-1] @ P).tocsr())
     rng = np.random.default_rng(K)
-    for level in h.levels:
-        # one array per level: the triangle and the diagonal view B_dia's rows
-        assert np.array_equal(level.diag, level.B.diagonal())
-        assert np.shares_memory(level.diag, level.B_dia.data)
+    for level, csr in zip(h.levels, Bs[::-1]):
+        assert all(v.format == "dia" for v in vars(level).values() if sp.issparse(v))
+        assert isinstance(level.B, sp.dia_matrix)
+        assert Factor(level.B).A is level.B  # shared, not copied
+        # one array per level: the triangle and the diagonal view B's rows
+        assert np.array_equal(level.diag, csr.diagonal())
+        assert np.shares_memory(level.diag, level.B.data)
         assert level.upper.data.size == 0 or np.shares_memory(level.upper.data,
-                                                              level.B_dia.data)
-        for dia, csr in ((level.B_dia, level.B), (level.upper, sp.triu(level.B, 1).tocsr())):
-            assert isinstance(dia, sp.dia_matrix)
+                                                              level.B.data)
+        for dia, ref in ((level.B, csr), (level.upper, sp.triu(csr, 1).tocsr())):
             assert np.all(np.diff(dia.offsets) > 0)
-            x = rng.standard_normal(level.B.shape[0])
-            assert np.array_equal(dia @ x, csr @ x)
+            x = rng.standard_normal(csr.shape[0])
+            assert np.array_equal(dia @ x, ref @ x)
+
+
+def test_hierarchy_holds_little_beyond_its_operators():
+    """At K=64 the live bytes a hierarchy adds stay within 1.25 times its DIA
+    operators plus the arrays of P and P': a second copy of each operator,
+    as CSR, would add about 1.5 times as much again."""
+    sys = assemble(build_mesh(64), 5.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        h = build_hierarchy(sys, 1.0 / 320, 0.5)
+        live = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    ops = sum(level.B.data.nbytes for level in h.levels)
+    grid = sum(A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+               for A in h.prolongations + h.restrictions)
+    assert live <= 1.25 * (ops + grid)
 
 
 def test_sweeps_on_a_galerkin_level_are_triangular_solves(sys16):
