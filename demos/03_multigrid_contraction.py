@@ -22,7 +22,7 @@ x_star = rng.standard_normal(sys.dim)
 rhs = h.fine.B @ x_star
 x = np.zeros(sys.dim)
 for cycle in range(1, 9):
-    x = vcycle(h, x, rhs)
+    x = vcycle(h, x, rhs, rhs - h.fine.B @ x)[0]
     err = h.weighted_norm(x - x_star) / h.weighted_norm(x_star)
     print(f"cycle {cycle}: relative error {err:.3e}")
 

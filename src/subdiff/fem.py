@@ -172,14 +172,16 @@ class _BandedCholesky:
     """LAPACK Cholesky factor of an SPD matrix in upper band storage.  The
     bandwidth is read off the matrix: K for B, M and S in lexicographic order."""
 
-    def __init__(self, A: sp.spmatrix):
-        U = sp.triu(A, format="csr").tocoo()
+    def __init__(self, A: sp.dia_matrix):
+        upper = A.offsets >= 0
+        rows = A.data[upper, :A.shape[0]]
         # dpbtrf lets a NaN entry through with info = 0
-        if not np.all(np.isfinite(U.data)):
+        if not np.all(np.isfinite(rows)):
             raise NumericsError("factorization got a non-finite matrix entry")
-        bw = int(np.max(U.col - U.row, initial=0))
+        # a DIA row holds A[j - o, j] in column j, as band row bw - o does
+        bw = int(np.max(A.offsets, initial=0))
         ab = np.zeros((bw + 1, A.shape[0]), order="F")
-        ab[bw + U.row - U.col, U.col] = U.data
+        ab[bw - A.offsets[upper], :rows.shape[1]] = rows
         self.cb, info = dpbtrf(ab, overwrite_ab=1)
         if info != 0:
             raise NumericsError(f"matrix is not positive definite (dpbtrf info={info})")
@@ -202,9 +204,8 @@ class Factor:
 
     def __init__(self, A: sp.spmatrix):
         self.A = A.todia()  # the residual product, bitwise CSR's; a DIA A is shared
-        A = A.tocsr()
-        self.lu = _BandedCholesky(A)
-        self.norm_A = float(abs(A).sum(axis=1).max())
+        self.lu = _BandedCholesky(self.A)
+        self.norm_A = float(abs(self.A).sum(axis=1).max())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs to a normwise backward error of at most

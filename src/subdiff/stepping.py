@@ -266,22 +266,24 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
     for n in range(1, N + 1):
         t0 = time.perf_counter()
         t_n = n * tau
-        r = M @ (weights.partial_sums[n] * u0 - history.next(u))
+        rhs = M @ (weights.partial_sums[n] * u0 - history.next(u))
         if spec.source is not None:
-            r = r + taua * spec.source.load_at(sys, t_n)
+            rhs = rhs + taua * spec.source.load_at(sys, t_n)
         if schedule.exact(n):
-            u_prev, u = u, direct.solve(r)
+            u_prev, u = u, direct.solve(rhs)
             if not schedule.exact(n + 1):
                 direct = None  # no later step needs the factor; free it
             records.append(StepRecord(n, t_n, True, None, time.perf_counter() - t0))
             continue
         m_n = schedule_iters(schedule, n, t_n, tau, spec.alpha, hierarchy)
         x = 2.0 * u - u_prev
+        r = rhs - hierarchy.fine.B @ x  # each cycle returns its iterate's residual
         corrections = []
         for m in range(m_n):
-            x_next = vcycle(hierarchy, x, r)
-            corrections.append(hierarchy.weighted_norm(x_next - x))
-            x = x_next
+            x_next, r_next = vcycle(hierarchy, x, rhs, r)
+            # B (x_next - x) = r - r_next: the correction's norm takes no product
+            corrections.append(hierarchy.weighted_norm(x_next - x, r - r_next))
+            x, r = x_next, r_next
         if not math.isfinite(corrections[-1]):
             raise NumericsError(
                 f"inner iteration produced a non-finite correction at step {n}")

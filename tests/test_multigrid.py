@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -112,11 +113,16 @@ def test_smoother_damping_validation():
 # ----------------------------------------------------------- V-cycle
 
 
+def cycle(h, x, rhs):
+    """One V-cycle's new iterate, from x and its residual by the product."""
+    return vcycle(h, x, rhs, rhs - h.fine.B @ x)[0]
+
+
 def test_vcycle_fixed_point(hier32_gs):
     rng = np.random.default_rng(0)
     x_star = rng.standard_normal(hier32_gs.fine.B.shape[0])
     rhs = hier32_gs.fine.B @ x_star
-    out = vcycle(hier32_gs, x_star, rhs)
+    out = cycle(hier32_gs, x_star, rhs)
     assert np.max(np.abs(out - x_star)) <= 1e-13 * np.max(np.abs(x_star))
 
 
@@ -127,7 +133,7 @@ def test_vcycle_strict_contraction_on_homogeneous_system(hier32_gs):
     for _ in range(100):
         x0 = rng.standard_normal(len(zero))
         n0 = hier32_gs.weighted_norm(x0)
-        n1 = hier32_gs.weighted_norm(vcycle(hier32_gs, x0, zero))
+        n1 = hier32_gs.weighted_norm(cycle(hier32_gs, x0, zero))
         assert n1 < n0
         assert n1 <= bound * n0
 
@@ -139,7 +145,7 @@ def test_vcycle_error_propagation_is_affine(hier32_gs):
     d = rng.standard_normal(n)
     diffs = []
     for rhs in (np.zeros(n), rng.standard_normal(n)):
-        diffs.append(vcycle(hier32_gs, x0 + d, rhs) - vcycle(hier32_gs, x0, rhs))
+        diffs.append(cycle(hier32_gs, x0 + d, rhs) - cycle(hier32_gs, x0, rhs))
     scale = np.max(np.abs(diffs[0]))
     assert np.max(np.abs(diffs[0] - diffs[1])) <= 1e-12 * scale
 
@@ -153,16 +159,18 @@ def test_vcycle_driven_to_tolerance_K64():
     rhs = h.fine.B @ x_star
     x = np.zeros(sys.dim)
     n_star = h.weighted_norm(x_star)
-    for cycle in range(50):
-        x = vcycle(h, x, rhs)
+    for _ in range(50):
+        x = cycle(h, x, rhs)
         if h.weighted_norm(x - x_star) <= 1e-10 * n_star:
             break
     assert h.weighted_norm(x - x_star) <= 1e-10 * n_star
 
 
 def test_vcycle_shape_validation(hier32_gs):
-    with pytest.raises(ValueError):
-        vcycle(hier32_gs, np.zeros(3), np.zeros(3))
+    n = hier32_gs.fine.B.shape[0]
+    for lengths in ((3, 3, 3), (n, n, 3), (n, 3, n)):
+        with pytest.raises(ValueError):
+            vcycle(hier32_gs, *(np.zeros(k) for k in lengths))
 
 
 # ----------------------------------------------------------- smoothers
@@ -199,6 +207,55 @@ def test_gauss_seidel_matches_hand_sweep():
                  GaussSeidelForward(), sweeps=1)
     # forward substitution: x0 = 1/2; x1 = (2 - 1*0.5)/3 = 0.5
     np.testing.assert_allclose(out, [0.5, 0.5], rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [GaussSeidelForward(), GaussSeidelForward().adjoint(),
+                                  DampedJacobi()], ids=["gs", "gs-backward", "jacobi"])
+def test_each_smoother_reports_its_sweeps_residual(sys32, kind):
+    """residual(level, rhs, x_in, x_out) is rhs - B x_out for the sweep from
+    x_in (None: the zero guess) to 1e-13 of its size, on the fine level and
+    on a Galerkin coarse level, which is not exactly symmetric."""
+    h = build_hierarchy(sys32, 1.0 / 320, 0.5)
+    rng = np.random.default_rng(12)
+    for level in (h.fine, h.levels[-2]):
+        n = level.B.shape[0]
+        for x_in in (None, rng.standard_normal(n)):
+            rhs = rng.standard_normal(n)
+            x_out = smooth(level, x_in, rhs, kind, 1)
+            want = rhs - level.B @ x_out
+            got = kind.residual(level, rhs, x_in, x_out)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class CountingProducts:
+    """Stands in for a level's sparse operator and counts its products."""
+
+    def __init__(self, A, name, tally):
+        self.A, self.name, self.tally, self.shape = A, name, tally, A.shape
+
+    def __matmul__(self, x):
+        self.tally.append(self.name)
+        return self.A @ x
+
+
+def test_gs_cycle_multiplies_no_level_by_its_full_operator(sys32, monkeypatch):
+    """A GS V(1,1) cycle takes products with each level's strict upper
+    triangle only: three on the finest level (the pre-smoothing residual,
+    the post-smoothing sweep and its residual), two on each level below it
+    and none with any level's B; the correction norm that run_iis takes from
+    the carried residuals adds none."""
+    h = build_hierarchy(sys32, 1.0 / 320, 0.5)
+    rng = np.random.default_rng(13)
+    x, rhs = rng.standard_normal((2, h.fine.B.shape[0]))
+    r = rhs - h.fine.B @ x
+    tally = []
+    for k, level in enumerate(h.levels[1:], 1):
+        monkeypatch.setattr(level, "B", CountingProducts(level.B, f"B{k}", tally))
+        monkeypatch.setattr(level, "upper", CountingProducts(level.upper, f"U{k}", tally))
+    x_next, r_next = vcycle(h, x, rhs, r)
+    h.weighted_norm(x_next - x, r - r_next)
+    top = h.n_levels - 1
+    assert sorted(tally) == sorted([f"U{top}"] * 3 + [f"U{k}" for k in range(1, top)] * 2)
 
 
 # ----------------------------------------------------------- lean cycle vs plain
@@ -244,9 +301,10 @@ def plain_cycle(h, levels, lvl, x, rhs):
        zero_guess=st.booleans(), seed=st.integers(0, 2**16))
 def test_lean_cycle_matches_plain_oracle(small_systems, K, tau, alpha, smoother, nu,
                                          zero_guess, seed):
-    """The DIA products and the skipped zero-guess products leave Jacobi
-    cycles bitwise the oracle's; GS solves with another factor of tril(B),
-    so it agrees to 1e-14 in the B-norm after 1 and after 5 cycles."""
+    """The lean cycle (DIA products, zero guesses no sweep multiplies,
+    pre-smoothing in correction form, residuals from the sweeps' identities)
+    agrees with the oracle to 1e-14 in the B-norm after 1 and after 5 cycles,
+    and the residual it carries is rhs - B x to 1e-13 of |B| |x| + |rhs|."""
     kind = {"gs": GaussSeidelForward(), "gs-backward": GaussSeidelForward(),
             "jacobi": DampedJacobi(), "jacobi-1": DampedJacobi(omega=1.0)}[smoother]
     h = build_hierarchy(small_systems[K], tau, alpha, kind, *nu)
@@ -256,12 +314,14 @@ def test_lean_cycle_matches_plain_oracle(small_systems, K, tau, alpha, smoother,
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(h.fine.B.shape[0])
     x = y = np.zeros(len(rhs)) if zero_guess else rng.standard_normal(len(rhs))
+    B = levels[-1].B
+    r = rhs - B @ x
     for cycles in range(1, 6):
-        x = vcycle(h, x, rhs)
+        x, r = vcycle(h, x, rhs, r)
         y = plain_cycle(h, levels, h.n_levels - 1, y, rhs)
-        if smoother.startswith("jacobi"):
-            assert np.array_equal(x, y)
-        elif cycles in (1, 5):
+        scale = abs(B).max() * np.abs(x).max() + np.abs(rhs).max()
+        assert np.max(np.abs(r - (rhs - B @ x))) <= 1e-13 * scale
+        if cycles in (1, 5):
             assert h.weighted_norm(x - y) <= 1e-14 * h.weighted_norm(y)
 
 
@@ -414,16 +474,40 @@ def test_adjoint_cycle_is_the_b_adjoint(small_systems, K, tau, alpha, smoother, 
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((2, B.shape[0]))
     zero = np.zeros(B.shape[0])
-    lhs = vcycle(h, x, zero) @ (B @ y)
-    rhs = x @ (B @ vcycle(adj, y, zero))
+    lhs = cycle(h, x, zero) @ (B @ y)
+    rhs = x @ (B @ cycle(adj, y, zero))
     assert abs(lhs - rhs) <= 1e-12 * h.weighted_norm(x) * h.weighted_norm(y)
+
+
+@pytest.mark.parametrize("kind", [GaussSeidelForward(), DampedJacobi()],
+                         ids=["gs", "jacobi"])
+def test_kappa_matches_lanczos_on_plain_cycles(sys32, kind):
+    """kappa (K=32, tau = 1/320, alpha = 0.8), whose Lanczos products come
+    from residual-carrying cycles, is to 1e-10 the same Lanczos run on
+    B E*E x formed by the plain cycles, which multiply by B for every
+    residual."""
+    h = build_hierarchy(sys32, 1.0 / 320, 0.8, kind)
+    adj = adjoint_hierarchy(h)
+    levels = [PlainLevel(level.B.tocsr()) for level in h.levels]
+    B, top = h.fine.B, h.n_levels - 1
+    zero = np.zeros(B.shape[0])
+
+    def apply(x):
+        return B @ plain_cycle(adj, levels, top, plain_cycle(h, levels, top, x, zero), zero)
+
+    op = spla.LinearOperator(B.shape, matvec=apply, dtype=float)
+    inv = spla.LinearOperator(B.shape, matvec=Factor(B).solve, dtype=float)
+    v0 = np.random.default_rng(multigrid.KAPPA_SEED).standard_normal(B.shape[0])
+    lam = spla.eigsh(op, k=1, M=B, Minv=inv, which="LA", v0=v0, tol=1e-10,
+                     return_eigenvectors=False)[0]
+    assert h.kappa == pytest.approx(np.sqrt(lam), rel=1e-10)
 
 
 def dense_cycle_norm(h):
     """|R E R^-1|_2 with B = R'R, from the cycle's dense error propagation."""
     B = h.fine.B.toarray()
     zero = np.zeros(len(B))
-    E = np.column_stack([vcycle(h, e, zero) for e in np.eye(len(B))])
+    E = np.column_stack([cycle(h, e, zero) for e in np.eye(len(B))])
     R = sla.cholesky(B)
     return np.linalg.norm(R @ E @ np.linalg.inv(R), 2)
 
@@ -449,8 +533,8 @@ def test_cycle_norm_bounds_every_one_cycle_ratio(hier32_gs, hier32_jac):
         for _ in range(20):
             x = rng.standard_normal(len(zero))
             for _ in range(5):
-                worst = max(worst, h.weighted_norm(vcycle(h, x, zero)) / h.weighted_norm(x))
-                x = vcycle(adj, vcycle(h, x, zero), zero)
+                worst = max(worst, h.weighted_norm(cycle(h, x, zero)) / h.weighted_norm(x))
+                x = cycle(adj, cycle(h, x, zero), zero)
         assert worst <= kappa * (1.0 + 1e-10)
         assert worst >= 0.9 * kappa  # the worst start found comes close
 
@@ -460,9 +544,10 @@ def test_contraction_estimate_exact_solver_floor(sys32, monkeypatch):
     B = h.fine.B
     solver = DirectSolver(B)
 
-    def exact_step(hierarchy, x, rhs):
+    def exact_step(hierarchy, x, rhs, r):
         # one "iteration" of a direct solve of Bx = 0 lands on zero
-        return x - solver.solve(B @ x)
+        x = x + solver.solve(r)
+        return x, rhs - B @ x
 
     monkeypatch.setattr(multigrid, "vcycle", exact_step)
     assert 0.0 < h.kappa < 1e-12
@@ -491,13 +576,14 @@ def test_cycle_norm_is_deterministic_per_seed(hier32_gs, monkeypatch):
 
 
 def test_non_contracting_iteration_raises(hier32_gs, monkeypatch):
-    monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: 1.1 * x)
+    monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs, r: (1.1 * x, 1.1 * r))
     with pytest.raises(NumericsError, match="not contracting"):
         fresh(hier32_gs).kappa
 
 
 def test_non_finite_probe_raises(hier32_gs, monkeypatch):
     # the cycle's own finiteness check raises, before any direct solve sees a NaN
-    monkeypatch.setattr(multigrid, "vcycle", lambda h, x, rhs: np.full_like(x, np.nan))
+    monkeypatch.setattr(multigrid, "vcycle",
+                        lambda h, x, rhs, r: (np.full_like(x, np.nan),) * 2)
     with pytest.raises(NumericsError, match="V-cycle produced a non-finite value"):
         fresh(hier32_gs).kappa

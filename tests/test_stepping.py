@@ -16,7 +16,8 @@ from subdiff.cq import (HISTORY_BLOCK, TimeGrid, gen_weights, rl_integral_oracle
                         soe_fit)
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import Factor, FemSystem, assemble, build_mesh, l2_norm
-from subdiff.multigrid import DirectSolver, GaussSeidelForward, build_hierarchy
+from subdiff.multigrid import (DampedJacobi, DirectSolver, GaussSeidelForward,
+                               build_hierarchy, vcycle)
 from subdiff.stepping import (ExactSchedule, LogSchedule, ProblemSpec,
                               SeparableSource, TheoryNonsmoothData,
                               TheorySmoothData, ZeroInit, error_report,
@@ -370,6 +371,40 @@ def test_inner_corrections_contract_at_measured_rate():
                 assert cur <= kappa * (1.0 + 1e-8) * prev
 
 
+@pytest.mark.parametrize("kind, floor", [(GaussSeidelForward(), True),
+                                         (DampedJacobi(), False)], ids=["gs", "jacobi"])
+def test_carried_residuals_and_product_free_correction_norms(monkeypatch, kind, floor):
+    """Over every cycle of a K=32 example-2 log:3,6 run (N=40), the residual a
+    cycle returns is rhs - B x to 1e-12 of |rhs|, and the correction norm
+    taken from the carried residuals, sqrt(d'(r - r_next)), is sqrt(d' B d)
+    to 1e-8 plus 1e-12 of the step's first correction: the carried
+    residuals round at about 1e-13 |rhs|, which dominates once a correction
+    is far below the first.  Every norm is finite and >= 0, also below the
+    rounding floor, which the GS run reaches."""
+    sys = assemble(build_mesh(32), 5.0)
+    spec = example_problem(2, sys, 0.5, 40)
+    h = build_hierarchy(sys, spec.grid.tau, 0.5, kind)
+    B = h.fine.B
+    cycles = []
+
+    def recorded(hierarchy, x, rhs, r):
+        out = vcycle(hierarchy, x, rhs, r)
+        cycles.append((x, rhs) + out)
+        return out
+
+    monkeypatch.setattr(stepping, "vcycle", recorded)
+    traj = run_iis(spec, LogSchedule(a=3, b=6), h)
+    norms = [(c, rec.corrections[0]) for rec in traj.records for c in rec.corrections]
+    assert len(cycles) == len(norms) == sum(rec.iterations or 0 for rec in traj.records)
+    for (x, rhs, x_next, r_next), (c, first) in zip(cycles, norms):
+        assert np.max(np.abs(r_next - (rhs - B @ x_next))) <= 1e-12 * np.max(np.abs(rhs))
+        d = x_next - x
+        ref = np.sqrt(d @ (B @ d))
+        assert 0.0 <= c < np.inf
+        assert abs(c - ref) <= 1e-8 * ref + 1e-12 * first
+    assert (min(c / first for c, first in norms) < 1e-10) == floor
+
+
 def test_run_iis_validates_hierarchy():
     """A hierarchy is accepted when its fine operator is the step operator
     M + tau^alpha S, whatever system object or alpha it was built from."""
@@ -399,8 +434,9 @@ def test_divergent_inner_iteration_raises(monkeypatch):
     spec = example_problem(1, sys, 0.5, 8)
     h = build_hierarchy(sys, spec.grid.tau, 0.5, GaussSeidelForward())
 
-    def blowup(hierarchy, x, rhs):
-        return 2.0 * x + 1.0
+    def blowup(hierarchy, x, rhs, r):
+        x = 2.0 * x + 1.0
+        return x, rhs - hierarchy.fine.B @ x
 
     monkeypatch.setattr(stepping, "vcycle", blowup)
     with pytest.raises(NumericsError):
