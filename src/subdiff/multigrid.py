@@ -9,12 +9,14 @@ factorization.  Each level keeps its operator in DIA storage only and
 sweeps with a factor of its transposed lower triangle; the coarse levels
 start from a zero guess that no sweep multiplies.
 
-A cycle carries its iterate's residual: it pre-smooths in correction form
-(sweeps on B e = r from e = 0), and each smoother's ``residual`` gives what
-its sweep left, for forward GS U (x_in - x_out) with U = triu(B, 1).  With
-GS V(1,1), a cycle and the caller's correction norm (B d = r - r_next) make
-9 diagonal passes on the finest level and 6 on each level above the
-coarsest, against 20 and 10 when each residual and the norm multiply by B.
+A cycle carries its iterate's residual r: its first sweep from x is x + S r,
+the zero-guess sweep on B e = r added to x, which needs no product, and each
+smoother's ``residual`` gives what its sweep left, for forward GS
+U (x_in - x_out) with U = triu(B, 1).  With GS V(1,1), a cycle and the
+caller's correction norm (B d = r - r_next) make 9 diagonal passes on the
+finest level and 6 on each level above the coarsest, against 20 and 10 when
+each residual and the norm multiply by B.  The cycle's products call scipy's
+sparse kernels directly (``_product``).
 
 One V(nu1, nu2) cycle is the unit of work the time stepper counts as one
 inner iteration.  Its error propagation E contracts in the energy-like norm
@@ -28,6 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, NumericsError, is_int
 from .fem import Factor, FemSystem
@@ -49,13 +52,29 @@ __all__ = [
 KAPPA_SEED = 0  # seeds the Lanczos start vector of MgHierarchy.kappa
 
 
+def _product(A: sp.spmatrix, x: np.ndarray) -> np.ndarray:
+    """A @ x for a DIA or CSR float matrix A, bit for bit, by the kernel that
+    scipy's ``@`` calls.  Its dispatch and checks take 2-3 us a product, more
+    than the product on the coarse levels; at K=64 a GS V(1,1) cycle makes 17."""
+    m, n = A.shape
+    if x.shape != (n,):  # the kernel reads n entries of x unchecked
+        raise ValueError(f"expected a vector of length {n}, got shape {x.shape}")
+    y = np.zeros(m)
+    if A.format == "dia":
+        _sparsetools.dia_matvec(m, n, len(A.offsets), A.data.shape[1], A.offsets,
+                                A.data, x, y)
+    else:
+        _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
+    return y
+
+
 class _Sweep:
     """Base of the sweeps whose residual takes the product with B."""
 
     def residual(self, level, rhs: np.ndarray, x_in: np.ndarray | None,
                  x_out: np.ndarray) -> np.ndarray:
         """rhs - B x_out for x_out = sweep(level, x_in, rhs), by the product."""
-        return rhs - level.B @ x_out
+        return rhs - _product(level.B, x_out)
 
 
 @dataclass(frozen=True)
@@ -73,7 +92,7 @@ class DampedJacobi(_Sweep):
     def sweep(self, level, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
         if x is None:  # the zero guess
             return self.omega * rhs / level.diag
-        return x + self.omega * (rhs - level.B @ x) / level.diag
+        return x + self.omega * (rhs - _product(level.B, x)) / level.diag
 
     def adjoint(self):
         """The B-adjoint sweep: a damped Jacobi sweep is B-self-adjoint."""
@@ -87,15 +106,15 @@ class GaussSeidelForward:
     name = "gs"
 
     def sweep(self, level, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
-        c = rhs if x is None else rhs - level.upper @ x
+        c = rhs if x is None else rhs - _product(level.upper, x)
         return level.lower_t.solve(c, trans="T")
 
     def residual(self, level, rhs: np.ndarray, x_in: np.ndarray | None,
                  x_out: np.ndarray) -> np.ndarray:
         """rhs - B x_out = U (x_in - x_out), as the sweep solved L x_out = rhs - U x_in."""
         if x_in is None:
-            return -(level.upper @ x_out)
-        return level.upper @ (x_in - x_out)
+            return -_product(level.upper, x_out)
+        return _product(level.upper, x_in - x_out)
 
     def adjoint(self):
         """The B-adjoint sweep, backward: x <- x + L^-T (rhs - B x), L = tril(B)."""
@@ -108,7 +127,7 @@ class _GaussSeidelBackward(_Sweep):
     def sweep(self, level, x: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
         if x is None:
             return level.lower_t.solve(rhs)
-        return x + level.lower_t.solve(rhs - level.B @ x)
+        return x + level.lower_t.solve(rhs - _product(level.B, x))
 
 
 Smoother = DampedJacobi | GaussSeidelForward
@@ -293,32 +312,28 @@ def vcycle(h: MgHierarchy, x0: np.ndarray, rhs: np.ndarray,
 def _cycle(h: MgHierarchy, lvl: int, x: np.ndarray | None, rhs: np.ndarray,
            r: np.ndarray) -> tuple:
     """The cycle on level lvl from x (None: the zero guess) with residual r.
-    Pre-smoothing runs in correction form, on B e = r from e = 0; only the
-    finest level forms its output residual, which is returned beside x."""
+    Only the finest level forms its output residual, returned beside x."""
     if lvl == 0:
         return h.coarse_lu.solve(r), None
     level, kind = h.levels[lvl], h.smoother
     if h.nu1:
-        e, r = _smooth_with_residual(level, None, r, kind, h.nu1)
-        x = e if x is None else x + e
-    rc = h.restrictions[lvl - 1] @ r
-    c = h.prolongations[lvl - 1] @ _cycle(h, lvl - 1, None, rc, rc)[0]
+        # the first sweep from x adds the zero-guess sweep on B e = r to x:
+        # for Jacobi bitwise x + omega D^-1 (rhs - B x), for GS x + L^-1 r
+        e = smooth(level, None, r, kind, 1)
+        x_in, x = x, (e if x is None else x + e)
+        for _ in range(h.nu1 - 1):
+            x_in, x = x, smooth(level, x, rhs, kind, 1)
+        r = kind.residual(level, rhs, x_in, x)
+    rc = _product(h.restrictions[lvl - 1], r)
+    c = _product(h.prolongations[lvl - 1], _cycle(h, lvl - 1, None, rc, rc)[0])
     x = c if x is None else x + c
     if lvl < h.n_levels - 1:
         return smooth(level, x, rhs, kind, h.nu2), None
-    if h.nu2:
-        return _smooth_with_residual(level, x, rhs, kind, h.nu2)
-    return x, rhs - level.B @ x
-
-
-def _smooth_with_residual(level: GridLevel, x: np.ndarray | None, rhs: np.ndarray,
-                          kind: Smoother, sweeps: int) -> tuple:
-    """``sweeps`` >= 1 sweeps from x and the residual of their result, which
-    the last sweep's ``residual`` gives from its input and output."""
-    if sweeps > 1:
-        x = smooth(level, x, rhs, kind, sweeps - 1)
-    x_out = smooth(level, x, rhs, kind, 1)
-    return x_out, kind.residual(level, rhs, x, x_out)
+    if not h.nu2:
+        return x, rhs - _product(level.B, x)
+    for _ in range(h.nu2):
+        x_in, x = x, smooth(level, x, rhs, kind, 1)
+    return x, kind.residual(level, rhs, x_in, x)
 
 
 class DirectSolver:

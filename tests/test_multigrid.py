@@ -171,6 +171,10 @@ def test_vcycle_shape_validation(hier32_gs):
     for lengths in ((3, 3, 3), (n, n, 3), (n, 3, n)):
         with pytest.raises(ValueError):
             vcycle(hier32_gs, *(np.zeros(k) for k in lengths))
+    # a sweep's product with a short vector raises, as scipy's @ did
+    for kind in (GaussSeidelForward(), GaussSeidelForward().adjoint(), DampedJacobi()):
+        with pytest.raises(ValueError, match="length"):
+            smooth(hier32_gs.fine, np.zeros(n - 1), np.zeros(n), kind)
 
 
 # ----------------------------------------------------------- smoothers
@@ -228,13 +232,17 @@ def test_each_smoother_reports_its_sweeps_residual(sys32, kind):
 
 
 class CountingProducts:
-    """Stands in for a level's sparse operator and counts its products."""
+    """Stands in for a sparse operator: counts the cycle's kernel products
+    with it, and any product by ``@`` apart."""
 
     def __init__(self, A, name, tally):
-        self.A, self.name, self.tally, self.shape = A, name, tally, A.shape
+        self.A, self.name, self.tally = A, name, tally
+
+    def __getattr__(self, attr):
+        return getattr(self.A, attr)
 
     def __matmul__(self, x):
-        self.tally.append(self.name)
+        self.tally.append("@" + self.name)
         return self.A @ x
 
 
@@ -242,20 +250,32 @@ def test_gs_cycle_multiplies_no_level_by_its_full_operator(sys32, monkeypatch):
     """A GS V(1,1) cycle takes products with each level's strict upper
     triangle only: three on the finest level (the pre-smoothing residual,
     the post-smoothing sweep and its residual), two on each level below it
-    and none with any level's B; the correction norm that run_iis takes from
+    and none with any level's B, beside one restriction and one prolongation
+    per level above the coarsest; the correction norm that run_iis takes from
     the carried residuals adds none."""
     h = build_hierarchy(sys32, 1.0 / 320, 0.5)
     rng = np.random.default_rng(13)
     x, rhs = rng.standard_normal((2, h.fine.B.shape[0]))
     r = rhs - h.fine.B @ x
-    tally = []
+    tally, product = [], multigrid._product
+
+    def counted(A, v):
+        tally.append(A.name)
+        return product(A.A, v)
+
+    monkeypatch.setattr(multigrid, "_product", counted)
     for k, level in enumerate(h.levels[1:], 1):
         monkeypatch.setattr(level, "B", CountingProducts(level.B, f"B{k}", tally))
         monkeypatch.setattr(level, "upper", CountingProducts(level.upper, f"U{k}", tally))
+    for attr, name in (("restrictions", "R"), ("prolongations", "P")):
+        monkeypatch.setattr(h, attr, [CountingProducts(A, f"{name}{k}", tally)
+                                      for k, A in enumerate(getattr(h, attr), 1)])
     x_next, r_next = vcycle(h, x, rhs, r)
     h.weighted_norm(x_next - x, r - r_next)
     top = h.n_levels - 1
-    assert sorted(tally) == sorted([f"U{top}"] * 3 + [f"U{k}" for k in range(1, top)] * 2)
+    want = [f"U{top}"] * 3 + [f"U{k}" for k in range(1, top)] * 2
+    want += [f"{name}{k}" for name in "RP" for k in range(1, top + 1)]
+    assert sorted(tally) == sorted(want)
 
 
 # ----------------------------------------------------------- lean cycle vs plain
@@ -301,10 +321,12 @@ def plain_cycle(h, levels, lvl, x, rhs):
        zero_guess=st.booleans(), seed=st.integers(0, 2**16))
 def test_lean_cycle_matches_plain_oracle(small_systems, K, tau, alpha, smoother, nu,
                                          zero_guess, seed):
-    """The lean cycle (DIA products, zero guesses no sweep multiplies,
-    pre-smoothing in correction form, residuals from the sweeps' identities)
-    agrees with the oracle to 1e-14 in the B-norm after 1 and after 5 cycles,
-    and the residual it carries is rhs - B x to 1e-13 of |B| |x| + |rhs|."""
+    """The lean cycle (kernel products, zero guesses no sweep multiplies,
+    first sweeps from the carried residual, residuals from the sweeps'
+    identities) leaves Jacobi cycles bitwise the oracle's; GS solves with
+    another factor of tril(B), so it agrees to 1e-14 in the B-norm after
+    every cycle.  The residual it carries is rhs - B x to 1e-13 of
+    |B| |x| + |rhs|, and Jacobi's bitwise."""
     kind = {"gs": GaussSeidelForward(), "gs-backward": GaussSeidelForward(),
             "jacobi": DampedJacobi(), "jacobi-1": DampedJacobi(omega=1.0)}[smoother]
     h = build_hierarchy(small_systems[K], tau, alpha, kind, *nu)
@@ -321,15 +343,19 @@ def test_lean_cycle_matches_plain_oracle(small_systems, K, tau, alpha, smoother,
         y = plain_cycle(h, levels, h.n_levels - 1, y, rhs)
         scale = abs(B).max() * np.abs(x).max() + np.abs(rhs).max()
         assert np.max(np.abs(r - (rhs - B @ x))) <= 1e-13 * scale
-        if cycles in (1, 5):
+        if smoother.startswith("jacobi"):
+            assert np.array_equal(x, y)
+            assert np.array_equal(r, rhs - B @ x)
+        else:
             assert h.weighted_norm(x - y) <= 1e-14 * h.weighted_norm(y)
 
 
 @pytest.mark.parametrize("K", [8, 16, 32])
 def test_dia_products_are_csr_products_bitwise(K):
     """Each level holds its operator once, in DIA storage, and its products
-    with B and with the strict upper triangle are those of the Galerkin CSR
-    products, bit for bit."""
+    with B and with the strict upper triangle, by ``@`` and by the cycle's
+    kernel calls, are those of the Galerkin CSR products, bit for bit; so
+    are the kernel products with P and P'."""
     sys = assemble(build_mesh(K), 5.0)
     h = build_hierarchy(sys, 0.01, 0.5, K0=2)
     Bs = [sys.system_matrix(0.01, 0.5)]
@@ -349,6 +375,10 @@ def test_dia_products_are_csr_products_bitwise(K):
             assert np.all(np.diff(dia.offsets) > 0)
             x = rng.standard_normal(csr.shape[0])
             assert np.array_equal(dia @ x, ref @ x)
+            assert np.array_equal(multigrid._product(dia, x), ref @ x)
+    for A in h.prolongations + h.restrictions:
+        x = rng.standard_normal(A.shape[1])
+        assert np.array_equal(multigrid._product(A, x), A @ x)
 
 
 def test_hierarchy_holds_little_beyond_its_operators():
