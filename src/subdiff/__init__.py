@@ -6,10 +6,10 @@ backward Euler convolution quadrature in time, and per-step linear systems
 solved either exactly or by a scheduled number of multigrid V-cycles.
 """
 
-from .cq import TimeGrid, WeightTable, frac_apply, gen_weights, rl_integral_oracle
+from .cq import TimeGrid, WeightTable, gen_weights
 from .errors import ConfigurationError, NumericsError
 from .fem import (FemSystem, Mesh2D, assemble, build_mesh, l2_norm, l2_project,
-                  load_vector, ritz_project)
+                  load_vector)
 from .multigrid import (DampedJacobi, GaussSeidelForward, MgHierarchy,
                         build_hierarchy, smooth, vcycle)
 from .stepping import (ExactSchedule, L2Projected, LogSchedule, ProblemSpec,
@@ -20,10 +20,10 @@ from .stepping import (ExactSchedule, L2Projected, LogSchedule, ProblemSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TimeGrid", "WeightTable", "gen_weights", "frac_apply", "rl_integral_oracle",
+    "TimeGrid", "WeightTable", "gen_weights",
     "ConfigurationError", "NumericsError",
     "Mesh2D", "FemSystem", "build_mesh", "assemble", "load_vector",
-    "l2_project", "ritz_project", "l2_norm",
+    "l2_project", "l2_norm",
     "DampedJacobi", "GaussSeidelForward", "MgHierarchy",
     "build_hierarchy", "vcycle", "smooth",
     "ProblemSpec", "ZeroInit", "L2Projected",

@@ -27,8 +27,6 @@ __all__ = [
     "WeightTable",
     "gen_weights",
     "History",
-    "frac_apply",
-    "rl_integral_oracle",
 ]
 
 # Guard against absurd table sizes before allocating (about 1 GB of floats).
@@ -197,46 +195,3 @@ class History:
         if n0:
             hist += buf[r + 1]
         return hist
-
-
-def frac_apply(table: WeightTable, tau: float, seq: np.ndarray) -> np.ndarray:
-    """Apply the discrete fractional operator of the table's order to a sequence.
-
-    ``seq`` holds phi^0..phi^n along axis 0 (scalars or vectors); the result
-    has the same shape, entry n being tau^(-gamma) sum_j b_j phi^(n-j), that
-    is tau^(-gamma) (phi^n + the history sum of :class:`History`), since
-    b_0 = 1.  The input is not modified.
-    """
-    if not tau > 0.0:
-        raise ValueError(f"time step must be positive, got {tau}")
-    phi = np.asarray(seq, dtype=float)
-    if phi.ndim not in (1, 2):
-        raise ValueError(f"sequence must be 1- or 2-dimensional, got shape {phi.shape}")
-    nsteps = phi.shape[0]
-    if len(table) < nsteps:
-        raise ValueError(
-            f"weight table of length {len(table)} too short for {nsteps} entries")
-    rows = phi if phi.ndim == 2 else phi[:, None]
-    out = rows.copy()
-    history = History(table, max(nsteps - 1, 0), rows.shape[1])
-    for n in range(1, nsteps):
-        out[n] += history.next(rows[n - 1])
-    out *= tau ** (-table.gamma)
-    return out.reshape(phi.shape)
-
-
-def rl_integral_oracle(alpha: float, beta: float, t: float) -> float:
-    """Fractional integral of order alpha of s^beta, evaluated at t.
-
-    Closed form Gamma(beta+1)/Gamma(beta+1+alpha) * t^(beta+alpha); serves as
-    the independent reference for the scalar consistency checks.
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if beta < 0.0:
-        raise ValueError(f"exponent beta must be nonnegative, got {beta}")
-    if not alpha > 0.0:
-        raise ValueError(f"order alpha must be positive, got {alpha}")
-    if t == 0.0:
-        return 0.0
-    return math.gamma(beta + 1.0) / math.gamma(beta + 1.0 + alpha) * t ** (beta + alpha)

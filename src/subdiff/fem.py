@@ -23,9 +23,7 @@ __all__ = [
     "load_vector",
     "Factor",
     "l2_project",
-    "ritz_project",
     "l2_norm",
-    "l2_error_vs_function",
 ]
 
 # Normwise backward error |b - A x| / (|A| |x| + |b|), infinity norms, that a
@@ -116,8 +114,9 @@ class FemSystem:
         return self.M.shape[0]
 
     def system_matrix(self, tau: float, alpha: float) -> sp.csr_matrix:
-        """Per-step operator M + tau^alpha S."""
-        return (self.M + tau ** alpha * self.S).tocsr()
+        """Per-step operator M + tau^alpha S.  The sum's arrays view buffers
+        sized for nnz(M) + nnz(S); the copy keeps only its nnz entries."""
+        return (self.M + tau ** alpha * self.S).tocsr(copy=True)
 
 
 def assemble(mesh: Mesh2D, c_A: float) -> FemSystem:
@@ -236,38 +235,7 @@ def l2_project(sys: FemSystem, g) -> np.ndarray:
     return Factor(sys.M).solve(load_vector(sys.mesh, g))
 
 
-def ritz_project(sys: FemSystem, grad) -> np.ndarray:
-    """Energy projection of v from its gradient: solve S x = c_A (grad v, grad phi).
-
-    ``grad(x, y)`` returns the pair (dv/dx, dv/dy) at equal-shaped point
-    arrays.
-    """
-    mesh = sys.mesh
-    Ge = np.zeros((len(mesh.triangles), 3))
-    for q, w in enumerate(_QUAD_W):
-        gx, gy = (np.asarray(g, dtype=float) for g in grad(*mesh.quad_points[q].T))
-        # area * grad(phi_k) = (b_k, c_k)/2 cancels the rule's area factor
-        Ge += (w / 2.0) * (gx[:, None] * mesh.b + gy[:, None] * mesh.c)
-    if not np.all(np.isfinite(Ge)):
-        raise NumericsError("gradient data produced non-finite values")
-    return Factor(sys.S).solve(sys.c_A * _scatter_to_interior(mesh, Ge))
-
-
 def l2_norm(sys: FemSystem, x: np.ndarray) -> float:
     """Mass-matrix norm, equal to the L2 norm of the P1 interpolant."""
     x = np.asarray(x, dtype=float)
     return float(np.sqrt(max(x @ (sys.M @ x), 0.0)))
-
-
-def l2_error_vs_function(sys: FemSystem, x: np.ndarray, u) -> float:
-    """L2 distance between the P1 function with nodal values x and u(x, y)."""
-    mesh = sys.mesh
-    full = np.zeros(len(mesh.coords))
-    full[mesh.full_of_interior] = x
-    nodal = full[mesh.triangles]
-    acc = np.zeros(len(mesh.triangles))
-    for q, w in enumerate(_QUAD_W):
-        uh = nodal @ _QUAD_BARY[q]
-        ue = np.asarray(u(*mesh.quad_points[q].T), dtype=float)
-        acc += w * (uh - ue) ** 2
-    return float(np.sqrt(np.sum(acc * mesh.area)))

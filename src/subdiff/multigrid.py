@@ -289,8 +289,6 @@ def smooth(level: GridLevel, x: np.ndarray | None, rhs: np.ndarray,
     """Apply ``sweeps`` smoothing sweeps to the float vector x (``vcycle``
     converts its input once).  ``x = None`` is the zero guess, whose first
     sweep skips the product with x."""
-    if x is None and sweeps == 0:
-        return np.zeros_like(rhs)
     for _ in range(sweeps):
         x = kind.sweep(level, x, rhs)
     return x

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from oracles import rl_integral_oracle, ritz_project
 from subdiff.bench import example_problem
-from subdiff.cq import gen_weights, rl_integral_oracle
-from subdiff.fem import assemble, build_mesh, load_vector, ritz_project
+from subdiff.cq import gen_weights
+from subdiff.fem import assemble, build_mesh, load_vector
 from subdiff.multigrid import DampedJacobi, GaussSeidelForward, build_hierarchy
 from subdiff.stepping import (LogSchedule, ProblemSpec, TheoryNonsmoothData,
                               error_report, run_exact, run_iis)

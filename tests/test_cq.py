@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import binom
 
+from oracles import frac_apply, rl_integral_oracle
 from subdiff.cq import (HISTORY_BLOCK, History, TimeGrid, WeightTable,
-                        frac_apply, gen_weights, rl_integral_oracle, soe_fit)
+                        gen_weights, soe_fit)
 from subdiff.errors import ConfigurationError
 
 

@@ -10,10 +10,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import l2_error_vs_function, ritz_project
 from subdiff.errors import ConfigurationError, NumericsError
-from subdiff.fem import (Factor, assemble, build_mesh, l2_error_vs_function, l2_norm,
-                         l2_project, load_vector, ritz_project, _QUAD_BARY,
-                         _QUAD_W)
+from subdiff.fem import (Factor, assemble, build_mesh, l2_norm, l2_project,
+                         load_vector, _QUAD_BARY, _QUAD_W)
 from subdiff.multigrid import build_hierarchy
 
 
@@ -129,6 +129,21 @@ def test_positive_definite_small():
 def test_assemble_rejects_bad_diffusivity():
     with pytest.raises(ConfigurationError):
         assemble(build_mesh(4), 0.0)
+
+
+def test_system_matrix_owns_buffers_of_its_size():
+    """B = M + tau^alpha S holds nnz entries, not views of the sum's buffers
+    sized for nnz(M) + nnz(S)."""
+    def owner(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    sys = assemble(build_mesh(16), 5.0)
+    B = sys.system_matrix(0.01, 0.5)
+    assert (B != sys.M + 0.01 ** 0.5 * sys.S).nnz == 0
+    for arr in (B.data, B.indices):
+        assert owner(arr).size == len(arr) == B.nnz
 
 
 # ---------------------------------------------------------------- loads

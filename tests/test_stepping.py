@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subdiff.stepping as stepping
+from oracles import rl_integral_oracle
 from subdiff.bench import example_problem
-from subdiff.cq import (HISTORY_BLOCK, TimeGrid, gen_weights, rl_integral_oracle,
-                        soe_fit)
+from subdiff.cq import HISTORY_BLOCK, TimeGrid, gen_weights, soe_fit
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import Factor, FemSystem, assemble, build_mesh, l2_norm
 from subdiff.multigrid import (DampedJacobi, DirectSolver, GaussSeidelForward,

@@ -13,7 +13,9 @@ seeds and the change first on odd ones.  ``--traced`` adds one seed-0
 ``--trace 1`` run per workload and side, after the pairs.  Every run is kept
 in the output, with a summary per workload and end-to-end metric: the median
 and quartiles of each side, the number of pairs in which the change is lower,
-and the median gap.  A record is also appended to ``runs.jsonl`` under the
+and the median gap.  Each workload also counts its failed runs (non-zero
+exit) apart for the pairs and for the traced runs, whose exit is 1 when a
+seed-0 count misses perfbench's ``expected_counts``.  A record is also appended to ``runs.jsonl`` under the
 work directory as soon as its run ends.
 """
 
@@ -76,8 +78,8 @@ def summarize(runs: list, workloads: list) -> dict:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in pairs.values() if all(
             s in p and p[s]["result"] and p[s]["exit"] == 0 for s in SIDES)]
-        failed = sum(r["workload"] == wl and r["trace"] == 0 and r["exit"] != 0
-                     for r in runs)
+        failed = [sum(r["workload"] == wl and r["trace"] == t and r["exit"] != 0
+                      for r in runs) for t in (0, 1)]
         metrics = {}
         names = pairs[0]["parent"]["result"]["metrics"] if pairs else {}
         for name in names:
@@ -90,7 +92,8 @@ def summarize(runs: list, workloads: list) -> dict:
                 median_gap=q["parent"][1] - q["change"][1],
                 change_lower_pairs=sum(c < p for p, c in zip(v["parent"], v["change"])),
                 pairs=len(pairs))
-        out[wl] = dict(failed_runs=failed, metrics=metrics)
+        out[wl] = dict(failed_runs=failed[0], failed_traced_runs=failed[1],
+                       metrics=metrics)
     return out
 
 
