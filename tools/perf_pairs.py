@@ -15,8 +15,8 @@ in the output, with a summary per workload and end-to-end metric: the median
 and quartiles of each side, the number of pairs in which the change is lower,
 and the median gap.  Each workload also counts its failed runs (non-zero
 exit) apart for the pairs and for the traced runs, whose exit is 1 when a
-seed-0 count misses perfbench's ``expected_counts``.  A record is also appended to ``runs.jsonl`` under the
-work directory as soon as its run ends.
+seed-0 count misses perfbench's ``expected_counts``.  A record is also
+appended to ``runs.jsonl`` under the work directory as soon as its run ends.
 """
 
 import argparse
