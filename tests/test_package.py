@@ -17,9 +17,7 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"{module}.__all__ names missing {name!r}"
-    namespace = {}
-    exec(f"from {module} import *", namespace)
-    assert set(getattr(mod, "__all__", ())) <= set(namespace)
+    exec(f"from {module} import *", {})  # a stale __all__ entry raises here
 
 
 def test_test_oracles_are_not_in_the_package():
