@@ -8,15 +8,16 @@ used by the benchmarks, through the benchmark's contraction sweep.
 
 import numpy as np
 
-from subdiff import (DampedJacobi, GaussSeidelForward, assemble, build_hierarchy,
-                     build_mesh, multigrid, vcycle)
 from subdiff.bench import ExperimentConfig, run_contraction_sweep
+from subdiff.fem import assemble, build_mesh
+from subdiff.multigrid import (DampedJacobi, GaussSeidelForward, build_hierarchy,
+                               level_sizes, vcycle)
 
 sys = assemble(build_mesh(64), 5.0)
 
 print("=== one V-cycle solve, Gauss-Seidel smoothing ===")
 h = build_hierarchy(sys, tau=1.0 / 320, alpha=0.5, smoother=GaussSeidelForward())
-print("levels:", multigrid.level_sizes(64, 4))
+print("levels:", level_sizes(64, 4))
 rng = np.random.default_rng(0)
 x_star = rng.standard_normal(sys.dim)
 rhs = h.fine.B @ x_star

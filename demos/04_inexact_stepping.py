@@ -8,9 +8,10 @@ the exact row's first-order errors.  It then times a step of each kind.
 
 import numpy as np
 
-from subdiff import (GaussSeidelForward, LogSchedule, assemble,
-                     build_hierarchy, build_mesh, run_exact, run_iis)
 from subdiff.bench import ExperimentConfig, example_problem, run_example1
+from subdiff.fem import assemble, build_mesh
+from subdiff.multigrid import GaussSeidelForward, build_hierarchy
+from subdiff.stepping import LogSchedule, run_exact, run_iis
 
 K, alpha = 32, 0.5
 Ns = (10, 20, 40, 80, 160)

@@ -6,9 +6,10 @@ M_n = a + b log2(1/t_n) and the schedule derived from the V-cycle's
 contraction kappa = |E|_B, including its per-step iteration counts.
 """
 
-from subdiff import (GaussSeidelForward, TheoryNonsmoothData, assemble,
-                     build_hierarchy, build_mesh, run_iis)
 from subdiff.bench import ExperimentConfig, example_problem, run_example2
+from subdiff.fem import assemble, build_mesh
+from subdiff.multigrid import GaussSeidelForward, build_hierarchy
+from subdiff.stepping import TheoryNonsmoothData, run_iis
 
 K, alpha = 32, 0.8
 Ns = (20, 40, 80, 160)

@@ -14,6 +14,7 @@ the largest benchmarked N), or a vector loaded from a file.  The table runners
 check that rule, the rows, startup count and smoother first; ExperimentConfig the rest.
 """
 
+import inspect
 import itertools
 import math
 import time
@@ -48,6 +49,7 @@ T = 1.0  # final time of the stock problems and the contraction sweep
 DEFAULT_ROWS_EXAMPLE1 = ("fixed:1", "fixed:2", "fixed:3", "exact")
 DEFAULT_ROWS_EXAMPLE2 = ("log:3,0", "log:3,3", "log:3,6", "exact")
 FORMATS = ("csv", "md")
+_CYCLE = inspect.signature(build_hierarchy).parameters  # the V-cycle's defaults
 
 
 def _setting(default, flag: str, text: str, sweep: bool = True):
@@ -57,8 +59,8 @@ def _setting(default, flag: str, text: str, sweep: bool = True):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings of one benchmark command, each declared once here: the CLI's
-    default, flag, help and sweep scope, and the annotation as its value type."""
+    """Settings of one benchmark command, each declared once here: the CLI's default
+    (the library's where it has one), flag, help, sweep scope and value type (the annotation)."""
 
     alphas: tuple[float, ...] = _setting((0.2, 0.5, 0.8), "alpha",
                                          "fractional order; repeatable")
@@ -66,19 +68,20 @@ class ExperimentConfig:
                                    "time step count; repeatable")
     K: int = _setting(64, "K", "subdivisions per side")
     c_A: float = _setting(5.0, "cA", "diffusivity c in A = -c*Laplacian")
-    smoother: str = _setting("gs", "smoother", "V-cycle smoother: gs | jacobi", sweep=False)
-    omega: float = _setting(2.0 / 3.0, "omega", "Jacobi damping")
-    nu1: int = _setting(1, "nu1", "pre-smoothing sweeps")
-    nu2: int = _setting(1, "nu2", "post-smoothing sweeps")
+    smoother: str = _setting(_CYCLE["smoother"].default.name, "smoother",
+                             "V-cycle smoother: gs | jacobi", sweep=False)
+    omega: float = _setting(DampedJacobi.omega, "omega", "Jacobi damping")
+    nu1: int = _setting(_CYCLE["nu1"].default, "nu1", "pre-smoothing sweeps")
+    nu2: int = _setting(_CYCLE["nu2"].default, "nu2", "post-smoothing sweeps")
     schedules: tuple[str, ...] = _setting(
         (), "schedule", "row schedule: exact | fixed:m | log:a,b | theory-smooth:delta | "
         "theory-nonsmooth:delta; repeatable", sweep=False)
-    startup_exact: int = _setting(2, "startup-exact", "steps solved exactly before iterating",
-                                  sweep=False)
+    startup_exact: int = _setting(Schedule.exact_startup_steps, "startup-exact",
+                                  "steps solved exactly before iterating", sweep=False)
     ref_N: int = _setting(5120, "ref-N", "steps of the fine reference run", sweep=False)
     ref_file: str | None = _setting(
         None, "ref-file", ".npy file holding the final-time reference vector", sweep=False)
-    K0: int = _setting(4, "K0", "coarsest hierarchy level")
+    K0: int = _setting(_CYCLE["K0"].default, "K0", "coarsest hierarchy level")
 
     @classmethod
     def settings(cls, command: str) -> list:
@@ -141,7 +144,7 @@ def parse_schedule(text: str, startup: int) -> Schedule:
     raise ConfigurationError(f"unknown schedule spec {text!r}")
 
 
-def example_problem(example: int, sys, alpha: float, N: int, T: float = 1.0) -> ProblemSpec:
+def example_problem(example: int, sys, alpha: float, N: int, T: float = T) -> ProblemSpec:
     """Problem spec for one of the stock examples on an assembled system."""
     grid = TimeGrid(T=T, N=N)
     if example == 1:

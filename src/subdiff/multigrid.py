@@ -334,11 +334,8 @@ def _cycle(h: MgHierarchy, lvl: int, x: np.ndarray | None, rhs: np.ndarray,
     return x, kind.residual(level, rhs, x_in, x)
 
 
-class DirectSolver:
-    """Factorization of an SPD matrix with a residual guarantee."""
+class DirectSolver(Factor):
+    """The time stepper's Factor: with ``__init__`` and ``solve`` in its own body, a
+    tracer counts them apart from the L2 projection's, kappa's and the coarse level's."""
 
-    def __init__(self, B: sp.spmatrix):
-        self._factor = Factor(B)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._factor.solve(rhs)
+    __init__, solve = Factor.__init__, Factor.solve

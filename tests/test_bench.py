@@ -145,6 +145,20 @@ def test_each_setting_is_declared_once_on_the_config():
     assert "jacobi" in cfg.meta_line("example1") and "jacobi" not in cfg.meta_line("contraction")
 
 
+def test_config_defaults_are_the_librarys():
+    """ExperimentConfig() takes each default the library declares: Jacobi's
+    damping, the schedules' startup count, build_hierarchy's smoother, nu1,
+    nu2 and K0, and example_problem's final time."""
+    cfg = ExperimentConfig()
+    sys = assemble(build_mesh(8), 5.0)
+    h = multigrid.build_hierarchy(sys, 0.1, 0.5)
+    assert cfg.omega == multigrid.DampedJacobi().omega
+    assert cfg.startup_exact == ExactSchedule().exact_startup_steps
+    assert (cfg.smoother, cfg.nu1, cfg.nu2) == (h.smoother.name, h.nu1, h.nu2)
+    assert h.levels[0].B.shape == ((cfg.K0 - 1) ** 2,) * 2
+    assert example_problem(1, sys, 0.5, 10).grid.T == bench.T
+
+
 def test_parse_schedule_forms():
     assert parse_schedule("exact", 2) == ExactSchedule(exact_startup_steps=2)
     assert parse_schedule(" fixed:4 ", 3) == LogSchedule(a=4, exact_startup_steps=3)

@@ -471,6 +471,16 @@ def test_direct_solver_residual_K64():
     assert np.linalg.norm(rhs - B @ x) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def test_direct_solver_is_the_factor_under_its_own_name(sys16):
+    """A Factor with __init__ and solve in its own class body, where perfbench's
+    tracer patches them to count the stepper's solves; its solve is Factor's."""
+    assert issubclass(DirectSolver, Factor)
+    assert {"__init__", "solve"} <= set(vars(DirectSolver))
+    B = sys16.system_matrix(1.0 / 40.0, 0.5)
+    rhs = np.random.default_rng(7).standard_normal(sys16.dim)
+    assert np.array_equal(DirectSolver(B).solve(rhs), Factor(B).solve(rhs))
+
+
 # ----------------------------------------------------------- cycle norm
 
 

@@ -20,6 +20,12 @@ def test_every_exported_name_resolves(module):
     exec(f"from {module} import *", {})  # a stale __all__ entry raises here
 
 
+def test_the_root_defines_only_its_submodules():
+    """Each public name has one import path, its own module's."""
+    assert {name for name in vars(subdiff) if not name.startswith("_")} <= set(MODULES)
+    assert not {"__all__", "__version__"} & set(vars(subdiff))
+
+
 def test_test_oracles_are_not_in_the_package():
     """The reference functions only the tests use live in tests/oracles.py."""
     for name in ("frac_apply", "rl_integral_oracle", "ritz_project",
