@@ -16,6 +16,8 @@ from .bench import (FORMATS, ExperimentConfig, run_contraction_sweep, run_exampl
                     run_example2, weight_table_csv)
 from .errors import ConfigurationError, NumericsError
 
+__all__ = ["build_parser", "main", "console_entry"]
+
 PAPER_SCALE_K = 128
 
 
@@ -84,8 +86,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _print_timings(table) -> None:
-    timings = getattr(table, "timings", None)
-    if not timings:
+    if not (timings := getattr(table, "timings", None)):
         return
     total = sum(timings.values())
     print(f"# wall time: {total:.2f}s over {len(timings)} cells; slowest:",

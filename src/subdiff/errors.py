@@ -2,6 +2,8 @@
 
 import numbers
 
+__all__ = ["ConfigurationError", "NumericsError", "is_int"]
+
 
 class ConfigurationError(ValueError):
     """Invalid mesh/grid/schedule/solver configuration supplied by the caller."""

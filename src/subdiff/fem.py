@@ -53,7 +53,6 @@ class Mesh2D:
     coords : (K+1)^2 x 2 node coordinates, node q = iy*(K+1) + ix.
     triangles : (2K^2, 3) vertex indices, counterclockwise.
     interior_of_full : full-node index -> interior index, -1 on the boundary.
-    full_of_interior : interior index -> full-node index.
     b, c : (2K^2, 3) edge differences, grad(phi_k) = (b_k, c_k) / (2 area).
     area : (2K^2,) triangle areas.
     quad_points : (6, 2K^2, 2) physical points of the 6-point rule.
@@ -84,7 +83,6 @@ class Mesh2D:
         interior = (fx > 0) & (fx < K) & (fy > 0) & (fy < K)
         self.interior_of_full = np.where(
             interior, np.cumsum(interior) - 1, -1).astype(np.int64)
-        self.full_of_interior = np.flatnonzero(interior)
         self.n_interior = int(interior.sum())
 
         p = self.coords[tris.T]  # p[k]: vertex k of every triangle

@@ -92,7 +92,7 @@ def l2_error_vs_function(sys: FemSystem, x: np.ndarray, u) -> float:
     """L2 distance between the P1 function with nodal values x and u(x, y)."""
     mesh = sys.mesh
     full = np.zeros(len(mesh.coords))
-    full[mesh.full_of_interior] = x
+    full[np.flatnonzero(mesh.interior_of_full >= 0)] = x
     nodal = full[mesh.triangles]
     acc = np.zeros(len(mesh.triangles))
     for q, w in enumerate(_QUAD_W):

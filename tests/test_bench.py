@@ -62,7 +62,7 @@ def test_one_level_runs_when_every_step_is_exact(monkeypatch):
             with pytest.raises(ConfigurationError, match="K0"):
                 run_example1(ExperimentConfig(K=4, K0=4, alphas=(0.5,), Ns=(5, 10), ref_N=160,
                                               startup_exact=9, schedules=rows))
-    monkeypatch.setattr(multigrid.spla, "eigsh", never)
+    monkeypatch.setattr(multigrid.spla, "eigs", never)
     assert cli.main(["contraction", "--K", "4", "--N", "10"]) == 2  # from build_hierarchy
     monkeypatch.setattr(bench, "build_hierarchy", never)
     cells = {}
@@ -319,8 +319,8 @@ def test_hierarchy_and_kappa_only_where_a_row_needs_them(monkeypatch):
     """kappa's eigensolve runs once per cell that has theory rows, however
     many there are, and never for the stock rows; no hierarchy is built for
     an N at which every step of every row is exact."""
-    eigsh, build = multigrid.spla.eigsh, bench.build_hierarchy
-    calls = {"eigsh": 0, "build": 0}
+    eigs, build = multigrid.spla.eigs, bench.build_hierarchy
+    calls = {"eigs": 0, "build": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -328,15 +328,15 @@ def test_hierarchy_and_kappa_only_where_a_row_needs_them(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(multigrid.spla, "eigsh", counted("eigsh", eigsh))
+    monkeypatch.setattr(multigrid.spla, "eigs", counted("eigs", eigs))
     monkeypatch.setattr(bench, "build_hierarchy", counted("build", build))
     run_example2(ExperimentConfig(
         schedules=("theory-smooth:0.1", "theory-nonsmooth:0.1"), **TINY))
-    assert calls == {"eigsh": 2, "build": 2}  # one alpha, two N
+    assert calls == {"eigs": 2, "build": 2}  # one alpha, two N
     run_example2(ExperimentConfig(**TINY))
-    assert calls == {"eigsh": 2, "build": 4}
+    assert calls == {"eigs": 2, "build": 4}
     run_example2(ExperimentConfig(startup_exact=5, **TINY))  # N=5 is all exact
-    assert calls == {"eigsh": 2, "build": 5}
+    assert calls == {"eigs": 2, "build": 5}
 
 
 def test_contraction_sweep_small():

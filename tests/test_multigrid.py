@@ -98,7 +98,7 @@ def test_prolongation_reproduces_coarse_hat():
     xc = np.zeros(coarse.n_interior)
     xc[coarse.interior_of_full[3 * 9 + 4]] = 1.0  # hat at coarse node (4, 3)
     hat = hat_function(coarse, 4, 3)
-    pts = fine.coords[fine.full_of_interior]
+    pts = fine.coords[np.flatnonzero(fine.interior_of_full >= 0)]
     expected = hat(pts[:, 0], pts[:, 1])
     np.testing.assert_allclose(P @ xc, expected, atol=1e-14)
 
@@ -520,10 +520,11 @@ def test_adjoint_cycle_is_the_b_adjoint(small_systems, K, tau, alpha, smoother, 
 @pytest.mark.parametrize("kind", [GaussSeidelForward(), DampedJacobi()],
                          ids=["gs", "jacobi"])
 def test_kappa_matches_lanczos_on_plain_cycles(sys32, kind):
-    """kappa (K=32, tau = 1/320, alpha = 0.8), whose Lanczos products come
-    from residual-carrying cycles, is to 1e-10 the same Lanczos run on
-    B E*E x formed by the plain cycles, which multiply by B for every
-    residual."""
+    """kappa (K=32, tau = 1/320, alpha = 0.8), ARPACK's Arnoldi iteration on
+    E*E x from residual-carrying cycles, is to 1e-10 the top eigenvalue of
+    the generalized problem B E*E x = lam B x, solved by Lanczos with a
+    factor of B on products from the plain cycles, which multiply by B for
+    every residual."""
     h = build_hierarchy(sys32, 1.0 / 320, 0.8, kind)
     adj = adjoint_hierarchy(h)
     levels = [PlainLevel(level.B.tocsr()) for level in h.levels]
@@ -602,7 +603,7 @@ def fresh(h):
 
 
 def test_cycle_norm_is_deterministic_per_seed(hier32_gs, monkeypatch):
-    """kappa's Lanczos start vector comes from a fixed seed: two hierarchies
+    """kappa's Arnoldi start vector comes from a fixed seed: two hierarchies
     with the same operators read the same kappa to the last bit, and one
     computes it once. Another start vector converges to the same top
     eigenvalue."""
@@ -611,6 +612,27 @@ def test_cycle_norm_is_deterministic_per_seed(hier32_gs, monkeypatch):
     assert a.kappa is a.kappa
     monkeypatch.setattr(multigrid, "KAPPA_SEED", 3)
     assert fresh(hier32_gs).kappa == pytest.approx(hier32_gs.kappa, rel=1e-8)
+
+
+def test_kappa_factors_nothing(hier32_gs, monkeypatch):
+    """kappa needs no solve with B: computing it constructs no Factor."""
+    made, init = [], Factor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Factor, "__init__", counted)
+    assert 0.0 < fresh(hier32_gs).kappa < 1.0
+    assert made == []
+
+
+def test_complex_top_eigenvalue_raises(hier32_gs, monkeypatch):
+    """E*E is B-self-adjoint, so an ARPACK value with a non-negligible
+    imaginary part means a broken cycle, not a contraction."""
+    monkeypatch.setattr(multigrid.spla, "eigs", lambda *args, **kwargs: np.array([0.25 + 0.01j]))
+    with pytest.raises(NumericsError, match="not contracting"):
+        fresh(hier32_gs).kappa
 
 
 def test_non_contracting_iteration_raises(hier32_gs, monkeypatch):

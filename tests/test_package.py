@@ -20,6 +20,12 @@ def test_every_exported_name_resolves(module):
     exec(f"from {module} import *", {})  # a stale __all__ entry raises here
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_every_submodule_declares_all(module):
+    """A star import binds a module's public names only, not its imports."""
+    assert isinstance(getattr(importlib.import_module(f"subdiff.{module}"), "__all__", None), list)
+
+
 def test_the_root_defines_only_its_submodules():
     """Each public name has one import path, its own module's."""
     assert {name for name in vars(subdiff) if not name.startswith("_")} <= set(MODULES)
