@@ -55,7 +55,6 @@ class Mesh2D:
     interior_of_full : full-node index -> interior index, -1 on the boundary.
     b, c : (2K^2, 3) edge differences, grad(phi_k) = (b_k, c_k) / (2 area).
     area : (2K^2,) triangle areas.
-    quad_points : (6, 2K^2, 2) physical points of the 6-point rule.
     """
 
     def __init__(self, K: int):
@@ -90,8 +89,6 @@ class Mesh2D:
         self.b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1)
         self.c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1)
         self.area = 0.5 * (self.b[:, 0] * self.c[:, 1] - self.b[:, 1] * self.c[:, 0])
-        # summed in vertex order; a BLAS product would change the last bits
-        self.quad_points = sum(_QUAD_BARY[:, k, None, None] * p[k] for k in range(3))
 
 
 def build_mesh(K: int) -> Mesh2D:
@@ -123,22 +120,46 @@ def assemble(mesh: Mesh2D, c_A: float) -> FemSystem:
     Element matrices are the exact P1 formulas: mass area/12 * (1 + I),
     stiffness (b b' + c c')/(4 area) scaled by c_A.  Assembly order is fixed,
     so results are bit-reproducible; tocsr() sums duplicates and sorts indices.
+    S and M share one list of (row, col) pairs; the stiffness element
+    matrices are formed in place and dropped before the mass entries, which
+    are area times the constant element matrix, so at most one full
+    (2K^2, 3, 3) float array is alive at a time.
     """
     if not (np.isfinite(c_A) and c_A > 0.0):
         raise ConfigurationError(f"diffusivity must be finite and positive, got {c_A}")
     b, c, area = mesh.b, mesh.c, mesh.area
-    Ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    Ke = c_A * Ke / (4.0 * area)[:, None, None]
-    Me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
-
-    idx = mesh.interior_of_full[mesh.triangles]
-    rows = np.repeat(idx, 3, axis=1).ravel()
-    cols = np.tile(idx, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
     n = mesh.n_interior
-    S = sp.coo_matrix((Ke.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((Me.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    rows, cols, keep = _couplings(mesh)
+
+    # in place, in the order of c_A * (b b' + c c') / (4 area)
+    Ke = b[:, :, None] * b[:, None, :]
+    for i in range(3):
+        Ke[:, i] += c[:, i, None] * c
+    Ke *= c_A
+    Ke /= (4.0 * area)[:, None, None]
+    S = sp.coo_matrix((Ke[keep], (rows, cols)), shape=(n, n))
+    del Ke
+    S = S.tocsr()
+    Me = np.broadcast_to(area[:, None, None], keep.shape)[keep]
+    Me *= np.broadcast_to((np.ones((3, 3)) + np.eye(3)) / 12.0, keep.shape)[keep]
+    del keep
+    M = sp.coo_matrix((Me, (rows, cols)), shape=(n, n)).tocsr()
     return FemSystem(mesh=mesh, c_A=float(c_A), M=M, S=S)
+
+
+def _couplings(mesh: Mesh2D) -> tuple:
+    """(rows, cols, keep): the interior (row, col) of each element entry that
+    couples two interior nodes, triangle-major, and the (2K^2, 3, 3) mask
+    that picks those entries.  The indices are int32, as tocsr() would
+    make them, unless the entry count could overflow it; so no COO or CSR
+    conversion copies them."""
+    idx = mesh.interior_of_full[mesh.triangles]
+    inner = idx >= 0
+    keep = inner[:, :, None] & inner[:, None, :]
+    idx = idx.astype(np.int32 if keep.size <= np.iinfo(np.int32).max else np.int64)
+    rows = np.broadcast_to(idx[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(idx[:, None, :], keep.shape)[keep]
+    return rows, cols, keep
 
 
 def load_vector(mesh: Mesh2D, g) -> np.ndarray:
@@ -147,11 +168,16 @@ def load_vector(mesh: Mesh2D, g) -> np.ndarray:
     ``g(x, y)`` must accept equal-shaped arrays and return an array; values
     must be finite.
     """
+    p = mesh.coords[mesh.triangles.T]  # p[k]: vertex k of every triangle
     Fe = np.zeros((len(mesh.triangles), 3))
-    for q, w in enumerate(_QUAD_W):
-        gv = np.broadcast_to(np.asarray(g(*mesh.quad_points[q].T), dtype=float),
-                             (len(mesh.triangles),))
-        Fe += (w * mesh.area * gv)[:, None] * _QUAD_BARY[q][None, :]
+    for bary, w in zip(_QUAD_BARY, _QUAD_W):
+        # the rule's points, summed in vertex order; a BLAS product would
+        # change the last bits
+        x = bary[0] * p[0]
+        x += bary[1] * p[1]
+        x += bary[2] * p[2]
+        gv = np.broadcast_to(np.asarray(g(*x.T), dtype=float), (len(mesh.triangles),))
+        Fe += (w * mesh.area * gv)[:, None] * bary[None, :]
     if not np.all(np.isfinite(Fe)):
         raise NumericsError("load function produced non-finite values")
     return _scatter_to_interior(mesh, Fe)
@@ -163,6 +189,21 @@ def _scatter_to_interior(mesh: Mesh2D, Fe: np.ndarray) -> np.ndarray:
     keep = idx >= 0
     np.add.at(F, idx[keep], Fe[keep])
     return F
+
+
+def _to_dia(A: sp.csr_matrix) -> sp.dia_matrix:
+    """A.todia() bit for bit, for a CSR A free of duplicate entries, filled
+    one diagonal at a time.  todia() goes through a COO copy of A and sorts
+    every entry's offset with its inverse index: about 30 bytes an entry of
+    temporaries, against 9 here."""
+    ks = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+    np.subtract(A.indices, ks, out=ks)  # each entry's offset col - row
+    offsets = np.unique(ks)
+    data = np.zeros((len(offsets), A.indices.max(initial=-1) + 1), dtype=A.dtype)
+    for row, k in zip(data, offsets):
+        on = ks == k
+        row[A.indices[on]] = A.data[on]
+    return sp.dia_matrix((data, offsets), shape=A.shape)
 
 
 class _BandedCholesky:
@@ -230,7 +271,7 @@ class Factor:
 
 def l2_project(sys: FemSystem, g) -> np.ndarray:
     """L2 projection of g onto the interior P1 space: solve M x = F(g)."""
-    return Factor(sys.M).solve(load_vector(sys.mesh, g))
+    return Factor(_to_dia(sys.M)).solve(load_vector(sys.mesh, g))
 
 
 def l2_norm(sys: FemSystem, x: np.ndarray) -> float:

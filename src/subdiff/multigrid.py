@@ -24,6 +24,7 @@ inner iteration.  Its error propagation E contracts in the energy-like norm
 |E|_B is ``MgHierarchy.kappa``, computed from the adjoint cycle on first use.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, NumericsError, is_int
-from .fem import Factor, FemSystem
+from .fem import Factor, FemSystem, _to_dia
 
 __all__ = [
     "DampedJacobi",
@@ -140,7 +141,7 @@ class GridLevel:
         # the level's one copy of B, in DIA storage with ascending offsets:
         # the strict upper triangle views its trailing rows and the diagonal
         # is its offset-0 row
-        self.B = B.todia()
+        self.B = _to_dia(B)
         d = int(np.searchsorted(self.B.offsets, 0))
         self.diag = self.B.data[d]
         self.upper = sp.dia_matrix((self.B.data[d + 1:], self.B.offsets[d + 1:]),
@@ -212,8 +213,8 @@ class MgHierarchy:
         1e-8, 0 < kappa < 1 and every product is finite.
         """
         B = self.fine.B
-        adj = MgHierarchy(self.levels, self.prolongations, self.coarse_lu,
-                          self.smoother.adjoint(), self.nu2, self.nu1)
+        adj = copy.copy(self)  # shares the levels and both transfer lists
+        adj.smoother, adj.nu1, adj.nu2 = self.smoother.adjoint(), self.nu2, self.nu1
         zero = np.zeros(B.shape[0])
 
         def apply(x):

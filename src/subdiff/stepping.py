@@ -28,7 +28,7 @@ import numpy as np
 
 from .cq import History, TimeGrid, gen_weights
 from .errors import ConfigurationError, NumericsError, is_int
-from .fem import FemSystem, l2_norm, l2_project, load_vector
+from .fem import FemSystem, _to_dia, l2_norm, l2_project, load_vector
 from .multigrid import DirectSolver, MgHierarchy, vcycle
 
 __all__ = [
@@ -247,18 +247,17 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
     N, tau = spec.grid.N, spec.grid.tau
     taua = tau ** spec.alpha
     sys = spec.sys
-    B = sys.system_matrix(tau, spec.alpha)
+    B = _to_dia(sys.system_matrix(tau, spec.alpha))  # the direct solver's own copy
     if not schedule.exact(N):
         if hierarchy is None:
             raise ConfigurationError("iterative schedules need a multigrid hierarchy")
-        fine = hierarchy.fine.B
-        if fine.shape != B.shape or not abs(fine - B).max() <= 1e-12 * abs(B).max():
+        if not _same_operator(hierarchy.fine.B, B):
             raise ConfigurationError("hierarchy was built for a different step operator")
     weights = gen_weights(spec.alpha, N)
-    M = sys.M.todia()
+    M = _to_dia(sys.M)
     u0 = spec.initial.vector(sys)  # before B is factored: an L2 projection factors M
     direct = DirectSolver(B)
-    del B  # the factor keeps its own DIA copy for the residual check
+    del B  # the factor keeps it for the residual check
 
     u = u_prev = u0  # U^{n-1} and U^{n-2}
     records = []
@@ -296,6 +295,16 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
             n, t_n, False, m_n, time.perf_counter() - t0,
             tuple(corrections)))
     return Trajectory(final=u, records=tuple(records))
+
+
+def _same_operator(A, B) -> bool:
+    """Whether A and B have one shape and agree entrywise to 1e-12 of max |B|,
+    compared diagonal by diagonal: no sparse difference is formed."""
+    if A.shape != B.shape:
+        return False
+    offsets = np.union1d(A.offsets, B.offsets)
+    gap = max(np.abs(A.diagonal(k) - B.diagonal(k)).max() for k in offsets)
+    return bool(gap <= 1e-12 * max(np.abs(B.diagonal(k)).max() for k in offsets))
 
 
 # ---------------------------------------------------------------------------

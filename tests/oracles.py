@@ -16,15 +16,22 @@
   gradient cases.
 - ``l2_error_vs_function``, the L2 distance of a P1 function to a closed
   form: ``test_fem.py::test_steady_solve_second_order_in_h``.
+- ``quad_points``, ``plain_assemble`` and ``plain_load_vector``: the
+  quadrature points as one (6, 2K^2, 2) array, and assembly and loads from
+  full (2K^2, 3, 3) element arrays and 64-bit index lists.  ``fem.assemble``
+  and ``fem.load_vector`` match them bit for bit
+  (``test_fem.py::test_lean_assembly_and_loads_match_plain_oracles``);
+  the two oracles above integrate on these points.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from subdiff.cq import History, WeightTable
 from subdiff.errors import NumericsError
-from subdiff.fem import (Factor, FemSystem, _QUAD_BARY, _QUAD_W,
+from subdiff.fem import (Factor, FemSystem, Mesh2D, _QUAD_BARY, _QUAD_W,
                          _scatter_to_interior)
 
 
@@ -78,9 +85,10 @@ def ritz_project(sys: FemSystem, grad) -> np.ndarray:
     arrays.
     """
     mesh = sys.mesh
+    points = quad_points(mesh)
     Ge = np.zeros((len(mesh.triangles), 3))
     for q, w in enumerate(_QUAD_W):
-        gx, gy = (np.asarray(g, dtype=float) for g in grad(*mesh.quad_points[q].T))
+        gx, gy = (np.asarray(g, dtype=float) for g in grad(*points[q].T))
         # area * grad(phi_k) = (b_k, c_k)/2 cancels the rule's area factor
         Ge += (w / 2.0) * (gx[:, None] * mesh.b + gy[:, None] * mesh.c)
     if not np.all(np.isfinite(Ge)):
@@ -95,8 +103,40 @@ def l2_error_vs_function(sys: FemSystem, x: np.ndarray, u) -> float:
     full[np.flatnonzero(mesh.interior_of_full >= 0)] = x
     nodal = full[mesh.triangles]
     acc = np.zeros(len(mesh.triangles))
+    points = quad_points(mesh)
     for q, w in enumerate(_QUAD_W):
         uh = nodal @ _QUAD_BARY[q]
-        ue = np.asarray(u(*mesh.quad_points[q].T), dtype=float)
+        ue = np.asarray(u(*points[q].T), dtype=float)
         acc += w * (uh - ue) ** 2
     return float(np.sqrt(np.sum(acc * mesh.area)))
+
+
+def quad_points(mesh: Mesh2D) -> np.ndarray:
+    """(6, 2K^2, 2) physical points of the 6-point rule, summed in vertex order."""
+    p = mesh.coords[mesh.triangles.T]  # p[k]: vertex k of every triangle
+    return sum(_QUAD_BARY[:, k, None, None] * p[k] for k in range(3))
+
+
+def plain_assemble(mesh: Mesh2D, c_A: float) -> tuple:
+    """(S, M) from full element arrays: stiffness c_A (b b' + c c') / (4 area),
+    mass area/12 (1 + I), entries listed triangle-major and summed by tocsr()."""
+    b, c, area = mesh.b, mesh.c, mesh.area
+    Ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+    Ke = c_A * Ke / (4.0 * area)[:, None, None]
+    Me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
+    idx = mesh.interior_of_full[mesh.triangles]
+    rows = np.repeat(idx, 3, axis=1).ravel()
+    cols = np.tile(idx, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.n_interior
+    return tuple(sp.coo_matrix((E.ravel()[keep], (rows[keep], cols[keep])),
+                               shape=(n, n)).tocsr() for E in (Ke, Me))
+
+
+def plain_load_vector(mesh: Mesh2D, g) -> np.ndarray:
+    """Interior load vector by the 6-point rule on ``quad_points``."""
+    Fe = np.zeros((len(mesh.triangles), 3))
+    for q, x in enumerate(quad_points(mesh)):
+        gv = np.broadcast_to(np.asarray(g(*x.T), dtype=float), (len(mesh.triangles),))
+        Fe += (_QUAD_W[q] * mesh.area * gv)[:, None] * _QUAD_BARY[q][None, :]
+    return _scatter_to_interior(mesh, Fe)

@@ -1,6 +1,7 @@
 """Mesh, assembly, loads, projections, and norms."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +11,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import l2_error_vs_function, ritz_project
+from oracles import (l2_error_vs_function, plain_assemble, plain_load_vector,
+                     ritz_project)
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import (Factor, assemble, build_mesh, l2_norm, l2_project,
-                         load_vector, _QUAD_BARY, _QUAD_W)
+                         load_vector, _QUAD_BARY, _QUAD_W, _to_dia)
 from subdiff.multigrid import build_hierarchy
 
 
@@ -144,6 +146,42 @@ def test_system_matrix_owns_buffers_of_its_size():
     assert (B != sys.M + 0.01 ** 0.5 * sys.S).nnz == 0
     for arr in (B.data, B.indices):
         assert owner(arr).size == len(arr) == B.nnz
+
+
+def test_lean_assembly_and_loads_match_plain_oracles():
+    """assemble and load_vector form no full-size element or point arrays,
+    yet match the plain oracles bit for bit: S and M in data, indices,
+    indptr and their dtypes, and the load vector of smooth, rough and
+    constant data."""
+    loads = (lambda x, y: np.exp(x) * np.cos(3.0 * y),
+             lambda x, y: (x < 0.1).astype(float) + (y < -0.3).astype(float),
+             lambda x, y: 2.5)
+    for K in (2, 4, 16, 64):
+        mesh = build_mesh(K)
+        for c_A in (1.0, 5.0):
+            sys = assemble(mesh, c_A)
+            for A, want in zip((sys.S, sys.M), plain_assemble(mesh, c_A)):
+                for part in ("data", "indices", "indptr"):
+                    got, ref = getattr(A, part), getattr(want, part)
+                    assert got.dtype == ref.dtype
+                    np.testing.assert_array_equal(got, ref)
+        for g in loads:
+            np.testing.assert_array_equal(load_vector(mesh, g), plain_load_vector(mesh, g))
+
+
+def test_assembly_peak_is_a_small_multiple_of_its_result():
+    """Mesh and assembly at K=64 peak at most 2.6 times the bytes they
+    leave alive (mesh, S and M): 3.6 MB for 1.5 MB traced.  With full
+    (2K^2, 3, 3) element and index arrays and the mesh's (6, 2K^2, 2)
+    quadrature points they peaked at 6.9 MB for 2.3 MB, 3.0 times."""
+    tracemalloc.start()
+    try:
+        sys = assemble(build_mesh(64), 5.0)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys.dim == 63 ** 2
+    assert peak <= 2.6 * live
 
 
 # ---------------------------------------------------------------- loads
@@ -317,9 +355,10 @@ def test_factor_matches_sparse_lu(K, tau, alpha):
 
 @pytest.mark.parametrize("K", [8, 16, 32])
 def test_dia_copies_of_m_s_b_are_csr_products_bitwise(K):
-    """scipy's DIA copies of M, S and B have ascending offsets and multiply
-    as the CSR matrices do, bit for bit, and so does that of a non-banded SPD
-    matrix, whose conversion warns."""
+    """scipy's DIA copies of M, S and B, which the package's own builder
+    reproduces bit for bit, have ascending offsets and multiply as the CSR
+    matrices do, bit for bit, and so does that of a non-banded SPD matrix,
+    whose conversion warns."""
     sys = assemble(build_mesh(K), 5.0)
     rng = np.random.default_rng(K)
     R = sp.random(60, 60, density=0.1, random_state=K)  # 109-115 diagonals
@@ -327,10 +366,33 @@ def test_dia_copies_of_m_s_b_are_csr_products_bitwise(K):
     with pytest.warns(sp.SparseEfficiencyWarning):  # more than 100 diagonals
         far = spd.todia()
     banded = (sys.M, sys.S, sys.system_matrix(0.01, 0.5))
+    for A in banded:  # the package's own DIA copies are scipy's
+        lean, dia = _to_dia(A), A.todia()
+        assert np.array_equal(lean.offsets, dia.offsets)
+        assert lean.data.tobytes() == dia.data.tobytes()
     for A, dia in [(A, A.todia()) for A in banded] + [(spd, far)]:
         assert isinstance(dia, sp.dia_matrix) and np.all(np.diff(dia.offsets) > 0)
         x = rng.standard_normal(A.shape[0])
         assert np.array_equal(dia @ x, A @ x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_lean_dia_copy_is_todia_bitwise(m, n, density, seed):
+    """The package's DIA builder gives scipy's todia() of any duplicate-free
+    CSR matrix: the same offsets and dtype, storage width and bits, explicit
+    and negative zeros included."""
+    rng = np.random.default_rng(seed)
+    A = sp.random(m, n, density=density, format="csr", random_state=rng)
+    A.data[rng.random(A.nnz) < 0.2] = 0.0
+    A.data[rng.random(A.nnz) < 0.2] = -0.0
+    got, want = _to_dia(A), A.todia()
+    assert got.shape == want.shape
+    assert got.offsets.dtype == want.offsets.dtype
+    assert np.array_equal(got.offsets, want.offsets)
+    assert got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_factor_solve_is_the_banded_solve_bitwise():

@@ -365,6 +365,11 @@ def test_dia_products_are_csr_products_bitwise(K):
     for level, csr in zip(h.levels, Bs[::-1]):
         assert all(v.format == "dia" for v in vars(level).values() if sp.issparse(v))
         assert isinstance(level.B, sp.dia_matrix)
+        dia = csr.todia()  # the level's copy is scipy's, offsets and storage
+        assert level.B.offsets.dtype == dia.offsets.dtype
+        assert np.array_equal(level.B.offsets, dia.offsets)
+        assert level.B.data.shape == dia.data.shape
+        assert level.B.data.tobytes() == dia.data.tobytes()
         assert Factor(level.B).A is level.B  # shared, not copied
         # one array per level: the triangle and the diagonal view B's rows
         assert np.array_equal(level.diag, csr.diagonal())
@@ -612,6 +617,28 @@ def test_cycle_norm_is_deterministic_per_seed(hier32_gs, monkeypatch):
     assert a.kappa is a.kappa
     monkeypatch.setattr(multigrid, "KAPPA_SEED", 3)
     assert fresh(hier32_gs).kappa == pytest.approx(hier32_gs.kappa, rel=1e-8)
+
+
+def test_kappa_adjoint_shares_the_transfers(hier32_gs, monkeypatch):
+    """kappa's adjoint cycle runs on the forward hierarchy's own levels,
+    prolongations and restrictions: it transposes nothing again."""
+    h = fresh(hier32_gs)
+    seen, cycle_once = [], multigrid.vcycle
+
+    def recorded(hierarchy, *args):
+        seen.append(hierarchy)
+        return cycle_once(hierarchy, *args)
+
+    monkeypatch.setattr(multigrid, "vcycle", recorded)
+    assert 0.0 < h.kappa < 1.0
+    adjoints = [a for a in seen if a is not h]
+    assert adjoints
+    for a in adjoints:
+        assert isinstance(a.smoother, type(h.smoother.adjoint()))
+        assert (a.nu1, a.nu2) == (h.nu2, h.nu1)
+        assert a.levels is h.levels
+        assert a.prolongations is h.prolongations
+        assert a.restrictions is h.restrictions
 
 
 def test_kappa_factors_nothing(hier32_gs, monkeypatch):

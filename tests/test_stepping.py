@@ -429,6 +429,39 @@ def test_run_iis_validates_hierarchy():
     assert not run_iis(unit_steps, schedule, other_alpha).records[-1].exact
 
 
+def test_run_iis_makes_one_dia_copy_of_b(monkeypatch):
+    """run_iis checks the hierarchy against its one DIA copy of B, diagonal
+    by diagonal, before it factors anything; the direct solver then shares
+    that copy.  No sparse difference with the hierarchy's operator is formed."""
+    sys = assemble(build_mesh(8), 5.0)
+    spec = example_problem(2, sys, 0.5, 8)
+    tau = spec.grid.tau
+    h, wrong = build_hierarchy(sys, tau, 0.5), build_hierarchy(sys, 2.0 * tau, 0.5)
+    factored, init = [], Factor.__init__
+
+    def counted(self, A):
+        factored.append(A)
+        init(self, A)
+
+    def no_difference(self, other):
+        raise AssertionError("formed a sparse difference")
+
+    monkeypatch.setattr(Factor, "__init__", counted)
+    monkeypatch.setattr(DirectSolver, "__init__", counted)
+    monkeypatch.setattr(sp.dia_matrix, "__sub__", no_difference)
+    monkeypatch.setattr(sp.dia_matrix, "__rsub__", no_difference)
+    with pytest.raises(ConfigurationError, match="step operator"):
+        run_iis(spec, LogSchedule(a=1), wrong)
+    assert factored == []
+    traj = run_iis(spec, LogSchedule(a=1), h)
+    B = factored[-1]  # the projection factors M first, then the solver B
+    assert len(factored) == 2 and isinstance(B, sp.dia_matrix)
+    assert B is not h.fine.B
+    assert np.array_equal(B.offsets, h.fine.B.offsets)
+    assert B.data.tobytes() == h.fine.B.data.tobytes()
+    assert traj.records[2].iterations == 1
+
+
 def test_divergent_inner_iteration_raises(monkeypatch):
     sys = assemble(build_mesh(8), 5.0)
     spec = example_problem(1, sys, 0.5, 8)

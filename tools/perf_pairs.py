@@ -13,10 +13,15 @@ seeds and the change first on odd ones.  ``--traced`` adds one seed-0
 ``--trace 1`` run per workload and side, after the pairs.  Every run is kept
 in the output, with a summary per workload and end-to-end metric: the median
 and quartiles of each side, the number of pairs in which the change is lower,
-and the median gap.  Each workload also counts its failed runs (non-zero
-exit) apart for the pairs and for the traced runs, whose exit is 1 when a
-seed-0 count misses perfbench's ``expected_counts``.  A record is also
-appended to ``runs.jsonl`` under the work directory as soon as its run ends.
+and the median gap.  For each end-to-end metric that ``BENCHMARK.json``
+declares, the summary also says whether a claimed gain would hold (the
+change better in at least 9 of 10 pairs, and the median gap larger than the
+parent's interquartile range) and whether the change's median lies within
+the metric's bound, a fraction of the parent's median.  Each workload also
+counts its failed runs (non-zero exit) apart for the pairs and for the
+traced runs, whose exit is 1 when a seed-0 count misses perfbench's
+``expected_counts``.  A record is also appended to ``runs.jsonl`` under the
+work directory as soon as its run ends.
 """
 
 import argparse
@@ -69,7 +74,25 @@ def quartiles(v: list) -> list:
     return [q[0], statistics.median(v), q[2]]
 
 
-def summarize(runs: list, workloads: list) -> dict:
+def verdicts(parent: list, change: list, better: str, bound: float) -> dict:
+    """The benchmark's two rules for one metric over paired runs: the gain
+    rule (better in at least 9 of 10 pairs, median gap beyond the parent's
+    IQR) and the bound (the change's median at most ``bound`` times the
+    parent's median worse)."""
+    sign = 1.0 if better == "lower" else -1.0
+    qp, qc = quartiles(parent), quartiles(change)
+    gap = sign * (qp[1] - qc[1])  # positive when the change is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    return dict(gain_rule_holds=bool(parent) and 10 * wins >= 9 * len(parent)
+                and gap > qp[2] - qp[0],
+                within_bound=bool(parent) and -gap <= bound * abs(qp[1]))
+
+
+def summarize(runs: list, workloads: list, end_to_end: dict | None = None) -> dict:
+    """Per workload: failed-run counts and, per metric, the paired figures;
+    ``end_to_end`` maps a metric's name to its BENCHMARK.json entry, whose
+    metrics also get ``verdicts``."""
+    end_to_end = end_to_end or {}
     out = {}
     for wl in workloads:
         pairs = {}
@@ -92,6 +115,10 @@ def summarize(runs: list, workloads: list) -> dict:
                 median_gap=q["parent"][1] - q["change"][1],
                 change_lower_pairs=sum(c < p for p, c in zip(v["parent"], v["change"])),
                 pairs=len(pairs))
+            if name in end_to_end:
+                spec = end_to_end[name]
+                metrics[name].update(verdicts(v["parent"], v["change"],
+                                              spec["better"], spec["bound"]))
         out[wl] = dict(failed_runs=failed[0], failed_traced_runs=failed[1],
                        metrics=metrics)
     return out
@@ -134,9 +161,12 @@ def main(argv=None) -> int:
         for wl in workloads:
             for side in SIDES:
                 record(side, run(trees[side], wl, 0, args.seconds, 1))
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     doc = dict(command=" ".join(["python3", "tools/perf_pairs.py"] + (argv or sys.argv[1:])),
                commits=commits, python=platform.python_version(),
-               nproc=os.cpu_count(), summary=summarize(runs, workloads), runs=runs)
+               nproc=os.cpu_count(), summary=summarize(runs, workloads, end_to_end),
+               runs=runs)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
