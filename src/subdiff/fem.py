@@ -157,8 +157,8 @@ def _couplings(mesh: Mesh2D) -> tuple:
     inner = idx >= 0
     keep = inner[:, :, None] & inner[:, None, :]
     idx = idx.astype(np.int32 if keep.size <= np.iinfo(np.int32).max else np.int64)
-    rows = np.broadcast_to(idx[:, :, None], keep.shape)[keep]
-    cols = np.broadcast_to(idx[:, None, :], keep.shape)[keep]
+    rows = np.repeat(idx, 3, axis=1).ravel()[keep.ravel()]
+    cols = np.tile(idx, (1, 3)).ravel()[keep.ravel()]
     return rows, cols, keep
 
 
@@ -192,17 +192,14 @@ def _scatter_to_interior(mesh: Mesh2D, Fe: np.ndarray) -> np.ndarray:
 
 
 def _to_dia(A: sp.csr_matrix) -> sp.dia_matrix:
-    """A.todia() bit for bit, for a CSR A free of duplicate entries, filled
-    one diagonal at a time.  todia() goes through a COO copy of A and sorts
-    every entry's offset with its inverse index: about 30 bytes an entry of
-    temporaries, against 9 here."""
+    """A.todia() bit for bit, for a CSR A free of duplicate entries.  todia()
+    goes through a COO copy of A and sorts every entry's offset with its
+    inverse index: about 30 bytes an entry of temporaries, against 16 here."""
     ks = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
     np.subtract(A.indices, ks, out=ks)  # each entry's offset col - row
     offsets = np.unique(ks)
     data = np.zeros((len(offsets), A.indices.max(initial=-1) + 1), dtype=A.dtype)
-    for row, k in zip(data, offsets):
-        on = ks == k
-        row[A.indices[on]] = A.data[on]
+    data[np.searchsorted(offsets, ks), A.indices] = A.data
     return sp.dia_matrix((data, offsets), shape=A.shape)
 
 

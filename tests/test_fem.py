@@ -171,9 +171,10 @@ def test_lean_assembly_and_loads_match_plain_oracles():
 
 def test_assembly_peak_is_a_small_multiple_of_its_result():
     """Mesh and assembly at K=64 peak at most 2.6 times the bytes they
-    leave alive (mesh, S and M): 3.6 MB for 1.5 MB traced.  With full
-    (2K^2, 3, 3) element and index arrays and the mesh's (6, 2K^2, 2)
-    quadrature points they peaked at 6.9 MB for 2.3 MB, 3.0 times."""
+    leave alive (mesh, S and M): 3.4 MB for 1.45 MB traced, 2.36 times.
+    With full (2K^2, 3, 3) element and index arrays and the mesh's
+    (6, 2K^2, 2) quadrature points they peaked at 6.8 MB for 2.2 MB,
+    3.06 times."""
     tracemalloc.start()
     try:
         sys = assemble(build_mesh(64), 5.0)
