@@ -32,6 +32,9 @@ __all__ = [
 # 256; the relative residual |b - A x| / |b| grows as K^2 instead.
 SOLVE_BACKWARD_TOL = 1e-14
 
+# Iteration cap of the L2 projection's CG, which takes 28 at every K tried.
+MASS_CG_MAX_ITERATIONS = 100
+
 # 6-point triangle rule, exact for polynomials of degree <= 4.
 _QUAD_BARY = np.array([
     [0.108103018168070, 0.445948490915965, 0.445948490915965],
@@ -109,9 +112,20 @@ class FemSystem:
         return self.M.shape[0]
 
     def system_matrix(self, tau: float, alpha: float) -> sp.csr_matrix:
-        """Per-step operator M + tau^alpha S.  The sum's arrays view buffers
-        sized for nnz(M) + nnz(S); the copy keeps only its nnz entries."""
-        return (self.M + tau ** alpha * self.S).tocsr(copy=True)
+        """Per-step operator M + tau^alpha S, bitwise scipy's pruned sum.
+
+        M and S from ``assemble`` share one pattern, so B takes a copy of it
+        with data M.data + tau^alpha S.data: no scaled copy of S and no sum
+        buffers sized for nnz(M) + nnz(S).  Other patterns take scipy's sum.
+        """
+        M, S = self.M, self.S
+        if not (np.array_equal(M.indptr, S.indptr) and np.array_equal(M.indices, S.indices)):
+            return (M + tau ** alpha * S).tocsr(copy=True)
+        data = tau ** alpha * S.data
+        data += M.data
+        B = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=M.shape)
+        B.eliminate_zeros()  # as the sum prunes its zeros
+        return B
 
 
 def assemble(mesh: Mesh2D, c_A: float) -> FemSystem:
@@ -254,21 +268,63 @@ class Factor:
         if not np.isfinite(nrhs):
             raise NumericsError("direct solve got a non-finite right-hand side")
         x = lu.solve(rhs)
-        if not self._accepts(rhs - A @ x, x, nrhs):
+        if not _accepts(rhs - A @ x, x, self.norm_A, nrhs):
             x = x + lu.solve(rhs - A @ x)
-            if not self._accepts(rhs - A @ x, x, nrhs):
+            if not _accepts(rhs - A @ x, x, self.norm_A, nrhs):
                 raise NumericsError("direct solve failed to reach residual tolerance")
         return x
 
-    def _accepts(self, r: np.ndarray, x: np.ndarray, nrhs: float) -> bool:
-        bound = SOLVE_BACKWARD_TOL * (self.norm_A * np.abs(x).max() + nrhs)
-        # a NaN in x or r fails the first test, an Inf in x the second
-        return bool(np.abs(r).max() <= bound < np.inf)
+
+def _accepts(r: np.ndarray, x: np.ndarray, norm_A: float, nrhs: float) -> bool:
+    """Whether x, with residual r = b - A x, solves A x = b to a normwise
+    backward error of at most SOLVE_BACKWARD_TOL, given |A| and |b|."""
+    bound = SOLVE_BACKWARD_TOL * (norm_A * np.abs(x).max() + nrhs)
+    # a NaN in x or r fails the first test, an Inf in x the second
+    return bool(np.abs(r).max() <= bound < np.inf)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # not BLAS: OpenBLAS's ddot splits vectors of more than 10^4 entries over
+    # its threads, so its last bits would depend on OPENBLAS_NUM_THREADS
+    return float(np.einsum("i,i", a, b))
 
 
 def l2_project(sys: FemSystem, g) -> np.ndarray:
-    """L2 projection of g onto the interior P1 space: solve M x = F(g)."""
-    return Factor(_to_dia(sys.M)).solve(load_vector(sys.mesh, g))
+    """L2 projection of g onto the interior P1 space: solve M x = F(g).
+
+    Conjugate gradients from zero on the DIA copy of M, preconditioned by its
+    diagonal.  So scaled, M's condition number does not grow with K (Wathen,
+    IMA J. Numer. Anal. 7, 1987): 28 iterations at every K tried, where a
+    band factor would take K+1 rows of n doubles.  x is accepted by
+    ``Factor.solve``'s backward-error rule on the true residual F - M x.
+    Raises NumericsError for a non-finite load or past MASS_CG_MAX_ITERATIONS.
+    """
+    F = load_vector(sys.mesh, g)
+    nF = np.abs(F).max()
+    if not np.isfinite(nF):
+        raise NumericsError("L2 projection got a non-finite load")
+    M = _to_dia(sys.M)
+    norm_M = float(abs(M).sum(axis=1).max())
+    d = sys.M.diagonal()
+    x, r = np.zeros_like(F), F.copy()
+    p = z = r / d
+    rz = _dot(r, z)
+    for it in range(MASS_CG_MAX_ITERATIONS + 1):
+        # the recursive residual drifts from the true one, which decides
+        if _accepts(r, x, norm_M, nF):
+            r = F - M @ x
+            if _accepts(r, x, norm_M, nF):
+                return x
+        if it == MASS_CG_MAX_ITERATIONS:
+            break
+        q = M @ p
+        a = rz / _dot(p, q)
+        x += a * p
+        r -= a * q
+        z = r / d
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    raise NumericsError(f"L2 projection missed its tolerance in {it} CG iterations")
 
 
 def l2_norm(sys: FemSystem, x: np.ndarray) -> float:

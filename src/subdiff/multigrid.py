@@ -54,9 +54,10 @@ KAPPA_SEED = 0  # seeds the Arnoldi start vector of MgHierarchy.kappa
 
 
 def _product(A: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """A @ x for a DIA or CSR float matrix A, bit for bit, by the kernel that
-    scipy's ``@`` calls.  Its dispatch and checks take 2-3 us a product, more
-    than the product on the coarse levels; at K=64 a GS V(1,1) cycle makes 17."""
+    """A @ x for a DIA, CSR or CSC float matrix A, bit for bit, by the kernel
+    that scipy's ``@`` calls.  Its dispatch and checks take 2-3 us a product,
+    more than the product on the coarse levels; at K=64 a GS V(1,1) cycle
+    makes 17."""
     m, n = A.shape
     if x.shape != (n,):  # the kernel reads n entries of x unchecked
         raise ValueError(f"expected a vector of length {n}, got shape {x.shape}")
@@ -64,6 +65,8 @@ def _product(A: sp.spmatrix, x: np.ndarray) -> np.ndarray:
     if A.format == "dia":
         _sparsetools.dia_matvec(m, n, len(A.offsets), A.data.shape[1], A.offsets,
                                 A.data, x, y)
+    elif A.format == "csc":
+        _sparsetools.csc_matvec(m, n, A.indptr, A.indices, A.data, x, y)
     else:
         _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
     return y
@@ -177,11 +180,14 @@ def prolongation_matrix(Kc: int) -> sp.csr_matrix:
 class MgHierarchy:
     """Immutable multigrid hierarchy; build with :func:`build_hierarchy`."""
 
-    def __init__(self, levels, prolongations, coarse_lu, smoother, nu1, nu2):
-        self.levels = levels              # coarse -> fine
-        self.prolongations = prolongations  # P[i]: level i -> level i+1
-        # P' as CSR: bitwise P.T @ r, in half the time of the CSC view P.T
-        self.restrictions = [P.T.tocsr() for P in prolongations]
+    def __init__(self, levels, restrictions, coarse_lu, smoother, nu1, nu2):
+        self.levels = levels  # coarse -> fine
+        # R[i] = P[i]' as CSR, level i+1 -> level i: bitwise P.T @ r, in half
+        # the time of the CSC view P.T.  P[i] is the CSC view R[i].T, on R's
+        # arrays: its csc_matvec sums each row of P in the column order of
+        # P's CSR product, so it is that product bit for bit, as fast
+        self.restrictions = restrictions
+        self.prolongations = [R.T for R in restrictions]
         self.coarse_lu = coarse_lu
         self.smoother = smoother
         self.nu1 = nu1
@@ -268,9 +274,10 @@ def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
     if len(Ks) < 2:
         raise ConfigurationError(f"fine K={fine.mesh.K} equals K0; need L >= 1")
 
-    prolongations = [prolongation_matrix(K) for K in Ks[:-1]]
-    Bs = [fine.system_matrix(tau, alpha)]
-    for P in prolongations[::-1]:
+    restrictions, Bs = [], [fine.system_matrix(tau, alpha)]
+    for K in Ks[-2::-1]:
+        P = prolongation_matrix(K)  # dropped once R and P' B P are made
+        restrictions.insert(0, P.T.tocsr())
         Bs.append((P.T @ Bs[-1] @ P).tocsr())
     # coarse to fine, each CSR product dropped once its level is made (made
     # fine to coarse between the products, they raised iis peak RSS 5-9 MB)
@@ -281,7 +288,7 @@ def build_hierarchy(fine: FemSystem, tau: float, alpha: float,
     # 13 us against 1 us raw, about 0.17 s over the 13533 cycles of the
     # K=64 example2 table (2-core Xeon, one BLAS thread)
     coarse_lu = Factor(levels[0].B).lu
-    return MgHierarchy(levels, prolongations, coarse_lu, smoother, nu1, nu2)
+    return MgHierarchy(levels, restrictions, coarse_lu, smoother, nu1, nu2)
 
 
 def smooth(level: GridLevel, x: np.ndarray | None, rhs: np.ndarray,

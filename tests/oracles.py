@@ -16,6 +16,9 @@
   gradient cases.
 - ``l2_error_vs_function``, the L2 distance of a P1 function to a closed
   form: ``test_fem.py::test_steady_solve_second_order_in_h``.
+- ``factored_l2_project``, the L2 projection by a band factor of M, which
+  ``fem.l2_project``'s conjugate gradients replaced:
+  ``test_fem.py::test_l2_project_matches_the_factored_oracle``.
 - ``quad_points``, ``plain_assemble`` and ``plain_load_vector``: the
   quadrature points as one (6, 2K^2, 2) array, and assembly and loads from
   full (2K^2, 3, 3) element arrays and 64-bit index lists.  ``fem.assemble``
@@ -32,7 +35,7 @@ import scipy.sparse as sp
 from subdiff.cq import History, WeightTable
 from subdiff.errors import NumericsError
 from subdiff.fem import (Factor, FemSystem, Mesh2D, _QUAD_BARY, _QUAD_W,
-                         _scatter_to_interior)
+                         _scatter_to_interior, _to_dia, load_vector)
 
 
 def frac_apply(table: WeightTable, tau: float, seq: np.ndarray) -> np.ndarray:
@@ -94,6 +97,11 @@ def ritz_project(sys: FemSystem, grad) -> np.ndarray:
     if not np.all(np.isfinite(Ge)):
         raise NumericsError("gradient data produced non-finite values")
     return Factor(sys.S).solve(sys.c_A * _scatter_to_interior(mesh, Ge))
+
+
+def factored_l2_project(sys: FemSystem, g) -> np.ndarray:
+    """L2 projection of g by a band Cholesky factor of M: solve M x = F(g)."""
+    return Factor(_to_dia(sys.M)).solve(load_vector(sys.mesh, g))
 
 
 def l2_error_vs_function(sys: FemSystem, x: np.ndarray, u) -> float:

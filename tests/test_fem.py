@@ -11,8 +11,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (l2_error_vs_function, plain_assemble, plain_load_vector,
-                     ritz_project)
+import subdiff.fem as fem
+from oracles import (factored_l2_project, l2_error_vs_function, plain_assemble,
+                     plain_load_vector, ritz_project)
 from subdiff.errors import ConfigurationError, NumericsError
 from subdiff.fem import (Factor, assemble, build_mesh, l2_norm, l2_project,
                          load_vector, _QUAD_BARY, _QUAD_W, _to_dia)
@@ -148,6 +149,41 @@ def test_system_matrix_owns_buffers_of_its_size():
         assert owner(arr).size == len(arr) == B.nnz
 
 
+@pytest.mark.parametrize("K", [4, 16, 64, 128])
+def test_system_matrix_is_scipys_pruned_sum_bitwise(K):
+    """B, formed on a copy of the pattern that S and M share, is scipy's
+    pruned sum M + tau^alpha S bit for bit: in its CSR arrays and their
+    dtypes, and in its DIA copy."""
+    sys = assemble(build_mesh(K), 5.0)
+    assert np.array_equal(sys.M.indptr, sys.S.indptr)
+    assert np.array_equal(sys.M.indices, sys.S.indices)
+    for tau, alpha in ((0.01, 0.5), (1.0 / 320, 0.2), (1.0, 0.9)):
+        B = sys.system_matrix(tau, alpha)
+        ref = (sys.M + tau ** alpha * sys.S).tocsr(copy=True)
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(B, part), getattr(ref, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for arr in (B.indices, B.indptr):  # its own copy of the pattern
+            assert not np.shares_memory(arr, sys.M.indices)
+            assert not np.shares_memory(arr, sys.M.indptr)
+        assert _to_dia(B).data.tobytes() == _to_dia(ref).data.tobytes()
+
+
+def test_system_matrix_peaks_near_its_result():
+    """system_matrix at K=64 peaks at no more than 1.5 times the bytes of the
+    B it returns (1.003 times measured); scipy's sum, with a scaled copy of S
+    and buffers for nnz(M) + nnz(S) entries, peaked at 2.96 times."""
+    sys = assemble(build_mesh(64), 5.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        B = sys.system_matrix(1.0 / 320, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
+
+
 def test_lean_assembly_and_loads_match_plain_oracles():
     """assemble and load_vector form no full-size element or point arrays,
     yet match the plain oracles bit for bit: S and M in data, indices,
@@ -223,6 +259,61 @@ def test_load_rejects_non_finite():
 def test_l2_project_zero():
     sys = assemble(build_mesh(4), 1.0)
     assert np.all(l2_project(sys, lambda x, y: np.zeros_like(x)) == 0.0)
+
+
+@pytest.mark.parametrize("K", [2, 4, 16, 64])
+def test_l2_project_matches_the_factored_oracle(K):
+    """CG on M lands within 1e-13 (max norm, relative) of the factored
+    projection on smooth, indicator and constant data, and meets the direct
+    solve's backward-error rule on its true residual; zero data gives exact
+    zeros."""
+    sys = assemble(build_mesh(K), 5.0)
+    norm_M = float(abs(sys.M).sum(axis=1).max())
+    for g in (lambda x, y: np.exp(x) * np.cos(3.0 * y),
+              lambda x, y: (x < 0.0).astype(float) + (y < 0.0).astype(float),
+              lambda x, y: 2.5):
+        x, ref = l2_project(sys, g), factored_l2_project(sys, g)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+        F = load_vector(sys.mesh, g)
+        assert fem._accepts(F - sys.M @ x, x, norm_M, np.abs(F).max())
+    zero = l2_project(sys, lambda x, y: np.zeros_like(x))
+    assert zero.shape == (sys.dim,) and np.all(zero == 0.0)
+
+
+def test_l2_project_holds_no_band_factor():
+    """At K=64 the projection's traced peak stays below the K+1 rows of n
+    doubles a band factor of M takes (1.43 MB against 2.06 MB); the
+    factored projection peaked at 3.7 MB."""
+    sys = assemble(build_mesh(64), 5.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        l2_project(sys, lambda x, y: (x < 0.0).astype(float))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 65 * sys.dim * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_l2_project_rejects_a_non_finite_load(bad, monkeypatch):
+    sys = assemble(build_mesh(8), 1.0)
+    F = np.ones(sys.dim)
+    F[3] = bad
+    monkeypatch.setattr(fem, "load_vector", lambda mesh, g: F)
+    with pytest.raises(NumericsError, match="L2 projection got a non-finite load"):
+        l2_project(sys, lambda x, y: 1.0)
+
+
+def test_l2_project_raises_past_its_iteration_cap(monkeypatch):
+    """At K=16 CG needs about 27 iterations; with a cap of 5 it raises."""
+    sys = assemble(build_mesh(16), 1.0)
+    g = lambda x, y: np.exp(x) * np.cos(3.0 * y)
+    monkeypatch.setattr(fem, "MASS_CG_MAX_ITERATIONS", 5)
+    with pytest.raises(NumericsError, match="in 5 CG iterations"):
+        l2_project(sys, g)
+    monkeypatch.setattr(fem, "MASS_CG_MAX_ITERATIONS", 40)
+    assert np.all(np.isfinite(l2_project(sys, g)))
 
 
 def test_l2_project_reproduces_mesh_function():

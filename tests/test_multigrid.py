@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 import subdiff.multigrid as multigrid
@@ -355,11 +356,14 @@ def test_dia_products_are_csr_products_bitwise(K):
     """Each level holds its operator once, in DIA storage, and its products
     with B and with the strict upper triangle, by ``@`` and by the cycle's
     kernel calls, are those of the Galerkin CSR products, bit for bit; so
-    are the kernel products with P and P'."""
+    are the kernel products with P and P'.  The oracle's Galerkin products
+    take P as CSR, as the build does: with the hierarchy's CSC views of P
+    scipy's sparse product sums in another order."""
     sys = assemble(build_mesh(K), 5.0)
     h = build_hierarchy(sys, 0.01, 0.5, K0=2)
     Bs = [sys.system_matrix(0.01, 0.5)]
-    for P in h.prolongations[::-1]:
+    for Kc in multigrid.level_sizes(K, 2)[-2::-1]:
+        P = prolongation_matrix(Kc)
         Bs.append((P.T @ Bs[-1] @ P).tocsr())
     rng = np.random.default_rng(K)
     for level, csr in zip(h.levels, Bs[::-1]):
@@ -386,10 +390,29 @@ def test_dia_products_are_csr_products_bitwise(K):
         assert np.array_equal(multigrid._product(A, x), A @ x)
 
 
+def test_prolongations_are_views_of_the_restrictions():
+    """Each P is the CSC view R.T of its restriction, on R's arrays, and its
+    kernel product is csr_matvec with prolongation_matrix(Kc), bit for bit,
+    for Kc = 2, ..., 64."""
+    sys = assemble(build_mesh(128), 5.0)
+    h = build_hierarchy(sys, 1.0 / 320, 0.5, K0=2)
+    rng = np.random.default_rng(11)
+    for Kc, P, R in zip(multigrid.level_sizes(128, 2), h.prolongations, h.restrictions):
+        assert P.format == "csc" and R.format == "csr"
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(P, part), getattr(R, part))
+        ref = prolongation_matrix(Kc)
+        x = rng.standard_normal(ref.shape[1])
+        y = np.zeros(ref.shape[0])
+        _sparsetools.csr_matvec(*ref.shape, ref.indptr, ref.indices, ref.data, x, y)
+        assert multigrid._product(P, x).tobytes() == y.tobytes()
+
+
 def test_hierarchy_holds_little_beyond_its_operators():
     """At K=64 the live bytes a hierarchy adds stay within 1.25 times its DIA
-    operators plus the arrays of P and P': a second copy of each operator,
-    as CSR, would add about 1.5 times as much again."""
+    operators plus the arrays of P' (1.12 times measured; with P's own
+    arrays beside them, 1.43): a second copy of each operator, as CSR,
+    would add about 1.5 times as much again."""
     sys = assemble(build_mesh(64), 5.0)
     tracemalloc.start()
     try:
@@ -400,7 +423,7 @@ def test_hierarchy_holds_little_beyond_its_operators():
         tracemalloc.stop()
     ops = sum(level.B.data.nbytes for level in h.levels)
     grid = sum(A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-               for A in h.prolongations + h.restrictions)
+               for A in h.restrictions)
     assert live <= 1.25 * (ops + grid)
 
 
@@ -491,7 +514,7 @@ def test_direct_solver_is_the_factor_under_its_own_name(sys16):
 
 def adjoint_hierarchy(h):
     """The hierarchy whose V-cycle is the B-adjoint E* of h's cycle E."""
-    return MgHierarchy(h.levels, h.prolongations, h.coarse_lu,
+    return MgHierarchy(h.levels, h.restrictions, h.coarse_lu,
                        h.smoother.adjoint(), h.nu2, h.nu1)
 
 
@@ -604,7 +627,7 @@ def test_gs_contracts_faster_than_jacobi(hier32_gs, hier32_jac):
 def fresh(h):
     """A copy of h that has not computed its kappa yet (the fixtures' copies
     keep the kappa an earlier test read)."""
-    return MgHierarchy(h.levels, h.prolongations, h.coarse_lu, h.smoother, h.nu1, h.nu2)
+    return MgHierarchy(h.levels, h.restrictions, h.coarse_lu, h.smoother, h.nu1, h.nu2)
 
 
 def test_cycle_norm_is_deterministic_per_seed(hier32_gs, monkeypatch):

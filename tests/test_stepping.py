@@ -454,8 +454,8 @@ def test_run_iis_makes_one_dia_copy_of_b(monkeypatch):
         run_iis(spec, LogSchedule(a=1), wrong)
     assert factored == []
     traj = run_iis(spec, LogSchedule(a=1), h)
-    B = factored[-1]  # the projection factors M first, then the solver B
-    assert len(factored) == 2 and isinstance(B, sp.dia_matrix)
+    B = factored[-1]  # the projection factors nothing, the solver B
+    assert len(factored) == 1 and isinstance(B, sp.dia_matrix)
     assert B is not h.fine.B
     assert np.array_equal(B.offsets, h.fine.B.offsets)
     assert B.data.tobytes() == h.fine.B.data.tobytes()
