@@ -32,7 +32,7 @@ __all__ = [
 # 256; the relative residual |b - A x| / |b| grows as K^2 instead.
 SOLVE_BACKWARD_TOL = 1e-14
 
-# Iteration cap of the L2 projection's CG, which takes 28 at every K tried.
+# Iteration cap of the L2 projection's CG, which takes 26-27 at K = 16 to 512.
 MASS_CG_MAX_ITERATIONS = 100
 
 # 6-point triangle rule, exact for polynomials of degree <= 4.
@@ -112,12 +112,9 @@ class FemSystem:
         return self.M.shape[0]
 
     def system_matrix(self, tau: float, alpha: float) -> sp.csr_matrix:
-        """Per-step operator M + tau^alpha S, bitwise scipy's pruned sum.
-
-        M and S from ``assemble`` share one pattern, so B takes a copy of it
-        with data M.data + tau^alpha S.data: no scaled copy of S and no sum
-        buffers sized for nnz(M) + nnz(S).  Other patterns take scipy's sum.
-        """
+        """Per-step operator M + tau^alpha S, bitwise scipy's pruned sum.  On
+        the pattern M and S share it needs no scaled copy of S and no buffers
+        for nnz(M) + nnz(S) entries; other patterns take scipy's sum."""
         M, S = self.M, self.S
         if not (np.array_equal(M.indptr, S.indptr) and np.array_equal(M.indices, S.indices)):
             return (M + tau ** alpha * S).tocsr(copy=True)
@@ -283,32 +280,25 @@ def _accepts(r: np.ndarray, x: np.ndarray, norm_A: float, nrhs: float) -> bool:
     return bool(np.abs(r).max() <= bound < np.inf)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # not BLAS: OpenBLAS's ddot splits vectors of more than 10^4 entries over
-    # its threads, so its last bits would depend on OPENBLAS_NUM_THREADS
-    return float(np.einsum("i,i", a, b))
-
-
 def l2_project(sys: FemSystem, g) -> np.ndarray:
-    """L2 projection of g onto the interior P1 space: solve M x = F(g).
-
-    Conjugate gradients from zero on the DIA copy of M, preconditioned by its
+    """L2 projection of g onto the interior P1 space: solve M x = F(g) by
+    conjugate gradients from zero on the DIA copy of M, preconditioned by its
     diagonal.  So scaled, M's condition number does not grow with K (Wathen,
-    IMA J. Numer. Anal. 7, 1987): 28 iterations at every K tried, where a
-    band factor would take K+1 rows of n doubles.  x is accepted by
-    ``Factor.solve``'s backward-error rule on the true residual F - M x.
+    IMA J. Numer. Anal. 7, 1987), and no band factor of M is made.  x is
+    accepted by ``Factor.solve``'s backward-error rule on the true residual.
     Raises NumericsError for a non-finite load or past MASS_CG_MAX_ITERATIONS.
     """
     F = load_vector(sys.mesh, g)
     nF = np.abs(F).max()
     if not np.isfinite(nF):
         raise NumericsError("L2 projection got a non-finite load")
-    M = _to_dia(sys.M)
+    M, d = _to_dia(sys.M), sys.M.diagonal()
     norm_M = float(abs(M).sum(axis=1).max())
-    d = sys.M.diagonal()
     x, r = np.zeros_like(F), F.copy()
     p = z = r / d
-    rz = _dot(r, z)
+    # einsum, not BLAS: OpenBLAS's ddot splits vectors of more than 10^4
+    # entries over its threads, so its bits would depend on the thread count
+    rz = np.einsum("i,i", r, z)
     for it in range(MASS_CG_MAX_ITERATIONS + 1):
         # the recursive residual drifts from the true one, which decides
         if _accepts(r, x, norm_M, nF):
@@ -316,15 +306,14 @@ def l2_project(sys: FemSystem, g) -> np.ndarray:
             if _accepts(r, x, norm_M, nF):
                 return x
         if it == MASS_CG_MAX_ITERATIONS:
-            break
+            raise NumericsError(f"L2 projection missed its tolerance in {it} CG iterations")
         q = M @ p
-        a = rz / _dot(p, q)
+        a = rz / np.einsum("i,i", p, q)
         x += a * p
         r -= a * q
         z = r / d
-        rz, rz_old = _dot(r, z), rz
+        rz, rz_old = np.einsum("i,i", r, z), rz
         p = z + (rz / rz_old) * p
-    raise NumericsError(f"L2 projection missed its tolerance in {it} CG iterations")
 
 
 def l2_norm(sys: FemSystem, x: np.ndarray) -> float:

@@ -343,6 +343,6 @@ def _cycle(h: MgHierarchy, lvl: int, x: np.ndarray | None, rhs: np.ndarray,
 
 class DirectSolver(Factor):
     """The time stepper's Factor: with ``__init__`` and ``solve`` in its own body, a
-    tracer counts them apart from the L2 projection's and the coarse level's."""
+    tracer counts them apart from the coarse level's."""
 
     __init__, solve = Factor.__init__, Factor.solve

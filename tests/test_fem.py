@@ -306,7 +306,7 @@ def test_l2_project_rejects_a_non_finite_load(bad, monkeypatch):
 
 
 def test_l2_project_raises_past_its_iteration_cap(monkeypatch):
-    """At K=16 CG needs about 27 iterations; with a cap of 5 it raises."""
+    """At K=16 CG takes 26 iterations; with a cap of 5 it raises."""
     sys = assemble(build_mesh(16), 1.0)
     g = lambda x, y: np.exp(x) * np.cos(3.0 * y)
     monkeypatch.setattr(fem, "MASS_CG_MAX_ITERATIONS", 5)
