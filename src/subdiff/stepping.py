@@ -13,10 +13,10 @@ lags within the current block of 48 steps, a sum-of-exponentials fit for the
 older ones.  A run keeps U^0, the extrapolation pair U^{n-1}, U^{n-2}, one
 block buffer and, from step 49 on, the fit's modes, never the whole
 trajectory; it returns the final vector and the per-step records.  Its one
-band factor is B's: an L2 projection of U^0 runs conjugate gradients on M,
-before B is factored, and ``run_iis`` frees B's factor after the exact
-startup steps, so with at most 48 startup steps the factor is gone before
-the modes are made.
+band factor is B's (an L2 projection of U^0 runs conjugate gradients on M,
+before B is factored), and ``run_iis`` frees it after the exact startup
+steps, so with at most 48 startup steps the factor is gone before the
+modes are made.
 """
 
 import logging
@@ -255,7 +255,7 @@ def run_iis(spec: ProblemSpec, schedule: Schedule,
             raise ConfigurationError("hierarchy was built for a different step operator")
     weights = gen_weights(spec.alpha, N)
     M = _to_dia(sys.M)
-    u0 = spec.initial.vector(sys)  # before B is factored, so its temporaries are gone
+    u0 = spec.initial.vector(sys)  # before B is factored: its arrays are freed first
     direct = DirectSolver(B)
     del B  # the factor keeps it for the residual check
 
