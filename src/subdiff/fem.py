@@ -1,10 +1,11 @@
 """P1 finite elements on a uniform triangulation of the square (-1, 1)^2.
 
 The square is cut into K x K cells of side h = 2/K and every cell is split
-along its bottom-left to top-right diagonal, giving 2 K^2 triangles.  Zero
-Dirichlet values are eliminated at assembly, so matrices and nodal vectors
-live on the (K-1)^2 interior nodes, numbered lexicographically (x fastest).
-Grid functions are plain float ndarrays of that length.
+along its bottom-left to top-right diagonal, giving 2 K^2 triangles of area
+h^2/2, so mass and stiffness are constant 7-point stencils, assembled with
+no element arrays.  Zero Dirichlet values are eliminated at assembly, so
+matrices and nodal vectors live on the (K-1)^2 interior nodes, numbered
+lexicographically (x fastest).  Grid functions are float ndarrays of that length.
 """
 
 from dataclasses import dataclass
@@ -35,6 +36,9 @@ SOLVE_BACKWARD_TOL = 1e-14
 # Iteration cap of the L2 projection's CG, which takes 26-27 at K = 16 to 512.
 MASS_CG_MAX_ITERATIONS = 100
 
+# Triangles per block of ``load_vector``.
+LOAD_BLOCK = 2 ** 14
+
 # 6-point triangle rule, exact for polynomials of degree <= 4.
 _QUAD_BARY = np.array([
     [0.108103018168070, 0.445948490915965, 0.445948490915965],
@@ -56,8 +60,7 @@ class Mesh2D:
     coords : (K+1)^2 x 2 node coordinates, node q = iy*(K+1) + ix.
     triangles : (2K^2, 3) vertex indices, counterclockwise.
     interior_of_full : full-node index -> interior index, -1 on the boundary.
-    b, c : (2K^2, 3) edge differences, grad(phi_k) = (b_k, c_k) / (2 area).
-    area : (2K^2,) triangle areas.
+    area : h^2/2, the area of every triangle.
     """
 
     def __init__(self, K: int):
@@ -65,6 +68,7 @@ class Mesh2D:
             raise ConfigurationError(f"K must be an even integer >= 2, got {K}")
         self.K = int(K)
         self.h = 2.0 / K
+        self.area = 0.5 * self.h * self.h
         xs = -1.0 + self.h * np.arange(K + 1)
         X, Y = np.meshgrid(xs, xs, indexing="xy")
         self.coords = np.column_stack([X.ravel(), Y.ravel()])
@@ -87,12 +91,6 @@ class Mesh2D:
             interior, np.cumsum(interior) - 1, -1).astype(np.int64)
         self.n_interior = int(interior.sum())
 
-        p = self.coords[tris.T]  # p[k]: vertex k of every triangle
-        x, y = p[..., 0], p[..., 1]
-        self.b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1)
-        self.c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1)
-        self.area = 0.5 * (self.b[:, 0] * self.c[:, 1] - self.b[:, 1] * self.c[:, 0])
-
 
 def build_mesh(K: int) -> Mesh2D:
     return Mesh2D(K)
@@ -100,25 +98,29 @@ def build_mesh(K: int) -> Mesh2D:
 
 @dataclass(frozen=True)
 class FemSystem:
-    """Interior-node mass and stiffness matrices for A = -c_A * Laplacian."""
+    """Interior-node mass and stiffness matrices for A = -c_A * Laplacian, in
+    CSR storage on one sparsity pattern."""
 
     mesh: Mesh2D
     c_A: float
     M: sp.csr_matrix
     S: sp.csr_matrix
 
+    def __post_init__(self):
+        M, S = self.M, self.S
+        if not (np.array_equal(M.indptr, S.indptr) and np.array_equal(M.indices, S.indices)):
+            raise ValueError("M and S must share one CSR sparsity pattern")
+
     @property
     def dim(self) -> int:
         return self.M.shape[0]
 
     def system_matrix(self, tau: float, alpha: float) -> sp.csr_matrix:
-        """Per-step operator M + tau^alpha S, bitwise scipy's pruned sum.  On
-        the pattern M and S share it needs no scaled copy of S and no buffers
-        for nnz(M) + nnz(S) entries; other patterns take scipy's sum."""
-        M, S = self.M, self.S
-        if not (np.array_equal(M.indptr, S.indptr) and np.array_equal(M.indices, S.indices)):
-            return (M + tau ** alpha * S).tocsr(copy=True)
-        data = tau ** alpha * S.data
+        """Per-step operator M + tau^alpha S on its own copy of the shared
+        pattern, bitwise scipy's pruned sum, with no scaled copy of S and no
+        buffers for nnz(M) + nnz(S) entries."""
+        M = self.M
+        data = tau ** alpha * self.S.data
         data += M.data
         B = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=M.shape)
         B.eliminate_zeros()  # as the sum prunes its zeros
@@ -126,91 +128,83 @@ class FemSystem:
 
 
 def assemble(mesh: Mesh2D, c_A: float) -> FemSystem:
-    """Assemble mass and stiffness over interior nodes.
-
-    Element matrices are the exact P1 formulas: mass area/12 * (1 + I),
-    stiffness (b b' + c c')/(4 area) scaled by c_A.  Assembly order is fixed,
-    so results are bit-reproducible; tocsr() sums duplicates and sorts indices.
-    S and M share one list of (row, col) pairs; the stiffness element
-    matrices are formed in place and dropped before the mass entries, which
-    are area times the constant element matrix, so at most one full
-    (2K^2, 3, 3) float array is alive at a time.
-    """
+    """Mass and stiffness over interior nodes, from their 7-point stencils
+    straight into CSR: node i couples to i-m-1, i-m, i-1, i+1, i+m and i+m+1
+    where they are interior (m = K - 1).  S = c_A (4 on the diagonal, -1 at
+    +-1 and +-m, an explicit 0 at +-(m+1)), M = h^2/2 on the diagonal and
+    h^2/12 off it.  Each value is formed as the sum of the P1 element
+    matrices forms it, bit for bit at power-of-two K; S and M have one
+    pattern with int32 indices, as tocsr() makes them."""
     if not (np.isfinite(c_A) and c_A > 0.0):
         raise ConfigurationError(f"diffusivity must be finite and positive, got {c_A}")
-    b, c, area = mesh.b, mesh.c, mesh.area
-    n = mesh.n_interior
-    rows, cols, keep = _couplings(mesh)
+    m, area, hh = mesh.K - 1, mesh.area, mesh.h * mesh.h
+    offsets = np.array([-m - 1, -m, -1, 0, 1, m, m + 1], dtype=np.int32)
+    inside = np.ones((m, m, 7), dtype=bool)  # [iy, ix, neighbour]
+    inside[0, :, :2] = False  # none below
+    inside[-1, :, 5:] = False  # none above
+    inside[:, 0, [0, 2]] = False  # none to the left
+    inside[:, -1, [4, 6]] = False  # none to the right
+    inside = inside.reshape(m * m, 7)
+    indptr = np.zeros(m * m + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    indices = (np.arange(m * m, dtype=np.int32)[:, None] + offsets)[inside]
 
-    # in place, in the order of c_A * (b b' + c c') / (4 area)
-    Ke = b[:, :, None] * b[:, None, :]
-    for i in range(3):
-        Ke[:, i] += c[:, i, None] * c
-    Ke *= c_A
-    Ke /= (4.0 * area)[:, None, None]
-    S = sp.coo_matrix((Ke[keep], (rows, cols)), shape=(n, n))
-    del Ke
-    S = S.tocsr()
-    Me = np.broadcast_to(area[:, None, None], keep.shape)[keep]
-    Me *= np.broadcast_to((np.ones((3, 3)) + np.eye(3)) / 12.0, keep.shape)[keep]
-    del keep
-    M = sp.coo_matrix((Me, (rows, cols)), shape=(n, n)).tocsr()
+    # one triangle's share of a leg edge, of an acute vertex and of its
+    # right-angle vertex; each diagonal edge's share is an exact zero.  The
+    # diagonal sums a node's six triangles in the order they are numbered
+    leg, acute, right = (c_A * bc / (4.0 * area) for bc in (-hh, hh, hh + hh))
+    s_off, s_diag = leg + leg, acute + acute + right + right + acute + acute
+    m_off, m_diag = area * (1.0 / 12.0), area * (2.0 / 12.0)
+    m_off, m_diag = m_off + m_off, m_diag + m_diag + m_diag + m_diag + m_diag + m_diag
+    S, M = (sp.csr_matrix((np.broadcast_to(row, inside.shape)[inside], indices.copy(),
+                           indptr.copy()), shape=(m * m, m * m))
+            for row in ([0.0, s_off, s_off, s_diag, s_off, s_off, 0.0],
+                        [m_off] * 3 + [m_diag] + [m_off] * 3))
     return FemSystem(mesh=mesh, c_A=float(c_A), M=M, S=S)
-
-
-def _couplings(mesh: Mesh2D) -> tuple:
-    """(rows, cols, keep): the interior (row, col) of each element entry that
-    couples two interior nodes, triangle-major, and the (2K^2, 3, 3) mask
-    that picks those entries.  The indices are int32, as tocsr() would
-    make them, unless the entry count could overflow it; so no COO or CSR
-    conversion copies them."""
-    idx = mesh.interior_of_full[mesh.triangles]
-    inner = idx >= 0
-    keep = inner[:, :, None] & inner[:, None, :]
-    idx = idx.astype(np.int32 if keep.size <= np.iinfo(np.int32).max else np.int64)
-    rows = np.repeat(idx, 3, axis=1).ravel()[keep.ravel()]
-    cols = np.tile(idx, (1, 3)).ravel()[keep.ravel()]
-    return rows, cols, keep
 
 
 def load_vector(mesh: Mesh2D, g) -> np.ndarray:
     """Interior load vector F_i = integral of g * phi_i, 6-point rule per triangle.
 
     ``g(x, y)`` must accept equal-shaped arrays and return an array; values
-    must be finite.
+    must be finite.  Triangles go in blocks of LOAD_BLOCK, in order, so the
+    result is that of one pass over all of them bit for bit.
     """
-    p = mesh.coords[mesh.triangles.T]  # p[k]: vertex k of every triangle
-    Fe = np.zeros((len(mesh.triangles), 3))
-    for bary, w in zip(_QUAD_BARY, _QUAD_W):
-        # the rule's points, summed in vertex order; a BLAS product would
-        # change the last bits
-        x = bary[0] * p[0]
-        x += bary[1] * p[1]
-        x += bary[2] * p[2]
-        gv = np.broadcast_to(np.asarray(g(*x.T), dtype=float), (len(mesh.triangles),))
-        Fe += (w * mesh.area * gv)[:, None] * bary[None, :]
-    if not np.all(np.isfinite(Fe)):
-        raise NumericsError("load function produced non-finite values")
-    return _scatter_to_interior(mesh, Fe)
-
-
-def _scatter_to_interior(mesh: Mesh2D, Fe: np.ndarray) -> np.ndarray:
     F = np.zeros(mesh.n_interior)
-    idx = mesh.interior_of_full[mesh.triangles]
-    keep = idx >= 0
-    np.add.at(F, idx[keep], Fe[keep])
+    for start in range(0, len(mesh.triangles), LOAD_BLOCK):
+        tris = mesh.triangles[start:start + LOAD_BLOCK]
+        p = mesh.coords[tris.T]  # p[k]: vertex k of every triangle
+        Fe = np.zeros((len(tris), 3))
+        for bary, w in zip(_QUAD_BARY, _QUAD_W):
+            # the rule's points, summed in vertex order; a BLAS product would
+            # change the last bits
+            x = bary[0] * p[0]
+            x += bary[1] * p[1]
+            x += bary[2] * p[2]
+            gv = np.broadcast_to(np.asarray(g(*x.T), dtype=float), (len(tris),))
+            Fe += (w * mesh.area * gv)[:, None] * bary[None, :]
+        if not np.all(np.isfinite(Fe)):
+            raise NumericsError("load function produced non-finite values")
+        idx = mesh.interior_of_full[tris]
+        keep = idx >= 0
+        np.add.at(F, idx[keep], Fe[keep])
     return F
 
 
 def _to_dia(A: sp.csr_matrix) -> sp.dia_matrix:
     """A.todia() bit for bit, for a CSR A free of duplicate entries.  todia()
     goes through a COO copy of A and sorts every entry's offset with its
-    inverse index: about 30 bytes an entry of temporaries, against 16 here."""
-    ks = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
-    np.subtract(A.indices, ks, out=ks)  # each entry's offset col - row
-    offsets = np.unique(ks)
+    inverse index; here a mask over the m + n - 1 possible offsets marks and
+    numbers those present, with two index arrays of nnz entries."""
+    m, n = A.shape
+    # each entry's offset col - row, shifted by m - 1 to count from 0
+    ks = np.repeat(np.arange(m - 1, -1, -1, dtype=A.indices.dtype), np.diff(A.indptr))
+    ks += A.indices
+    present = np.zeros(m + n - 1, dtype=bool)
+    present[ks] = True
+    offsets = (np.flatnonzero(present) - (m - 1)).astype(A.indices.dtype)
     data = np.zeros((len(offsets), A.indices.max(initial=-1) + 1), dtype=A.dtype)
-    data[np.searchsorted(offsets, ks), A.indices] = A.data
+    data[(np.cumsum(present, dtype=A.indices.dtype) - 1)[ks], A.indices] = A.data
     return sp.dia_matrix((data, offsets), shape=A.shape)
 
 

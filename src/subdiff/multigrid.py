@@ -149,11 +149,15 @@ class GridLevel:
         self.diag = self.B.data[d]
         self.upper = sp.dia_matrix((self.B.data[d + 1:], self.B.offsets[d + 1:]),
                                    shape=B.shape)
-        # L = tril(B) read as CSC is L', upper triangular: it factors without
-        # fill or pivoting under the natural ordering, solve(c, trans="T") is
-        # plain forward substitution with L and solve(c) backward with L'
-        self.lower_t = spla.splu(sp.tril(B, 0, format="csr").T, permc_spec="NATURAL",
-                                 diag_pivot_thresh=0.0)
+        # L = tril(B), by a row mask on B's CSR arrays with no COO pass, read
+        # as CSC is L', upper triangular: it factors without fill or pivoting
+        # under the natural ordering, solve(c, trans="T") is plain forward
+        # substitution with L and solve(c) backward with L'
+        lower = B.indices <= np.repeat(np.arange(B.shape[0], dtype=B.indices.dtype),
+                                       np.diff(B.indptr))
+        indptr = np.concatenate(([0], np.cumsum(lower)))[B.indptr]
+        L = sp.csr_matrix((B.data[lower], B.indices[lower], indptr), shape=B.shape)
+        self.lower_t = spla.splu(L.T, permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
 def prolongation_matrix(Kc: int) -> sp.csr_matrix:

@@ -34,8 +34,8 @@ import scipy.sparse as sp
 
 from subdiff.cq import History, WeightTable
 from subdiff.errors import NumericsError
-from subdiff.fem import (Factor, FemSystem, Mesh2D, _QUAD_BARY, _QUAD_W,
-                         _scatter_to_interior, _to_dia, load_vector)
+from subdiff.fem import (Factor, FemSystem, Mesh2D, _QUAD_BARY, _QUAD_W, _to_dia,
+                         load_vector)
 
 
 def frac_apply(table: WeightTable, tau: float, seq: np.ndarray) -> np.ndarray:
@@ -88,15 +88,16 @@ def ritz_project(sys: FemSystem, grad) -> np.ndarray:
     arrays.
     """
     mesh = sys.mesh
+    b, c, _ = element_geometry(mesh)
     points = quad_points(mesh)
     Ge = np.zeros((len(mesh.triangles), 3))
     for q, w in enumerate(_QUAD_W):
         gx, gy = (np.asarray(g, dtype=float) for g in grad(*points[q].T))
         # area * grad(phi_k) = (b_k, c_k)/2 cancels the rule's area factor
-        Ge += (w / 2.0) * (gx[:, None] * mesh.b + gy[:, None] * mesh.c)
+        Ge += (w / 2.0) * (gx[:, None] * b + gy[:, None] * c)
     if not np.all(np.isfinite(Ge)):
         raise NumericsError("gradient data produced non-finite values")
-    return Factor(sys.S).solve(sys.c_A * _scatter_to_interior(mesh, Ge))
+    return Factor(sys.S).solve(sys.c_A * scatter_to_interior(mesh, Ge))
 
 
 def factored_l2_project(sys: FemSystem, g) -> np.ndarray:
@@ -116,7 +117,7 @@ def l2_error_vs_function(sys: FemSystem, x: np.ndarray, u) -> float:
         uh = nodal @ _QUAD_BARY[q]
         ue = np.asarray(u(*points[q].T), dtype=float)
         acc += w * (uh - ue) ** 2
-    return float(np.sqrt(np.sum(acc * mesh.area)))
+    return float(np.sqrt(np.sum(acc * element_geometry(mesh)[2])))
 
 
 def quad_points(mesh: Mesh2D) -> np.ndarray:
@@ -125,10 +126,29 @@ def quad_points(mesh: Mesh2D) -> np.ndarray:
     return sum(_QUAD_BARY[:, k, None, None] * p[k] for k in range(3))
 
 
+def element_geometry(mesh: Mesh2D) -> tuple:
+    """(b, c, area) of every triangle: the (2K^2, 3) edge differences with
+    grad(phi_k) = (b_k, c_k) / (2 area), and the (2K^2,) areas."""
+    p = mesh.coords[mesh.triangles.T]  # p[k]: vertex k of every triangle
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1)
+    c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1)
+    return b, c, 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+
+
+def scatter_to_interior(mesh: Mesh2D, Fe: np.ndarray) -> np.ndarray:
+    """Sum (2K^2, 3) element values into the interior nodes, triangle-major."""
+    F = np.zeros(mesh.n_interior)
+    idx = mesh.interior_of_full[mesh.triangles]
+    keep = idx >= 0
+    np.add.at(F, idx[keep], Fe[keep])
+    return F
+
+
 def plain_assemble(mesh: Mesh2D, c_A: float) -> tuple:
     """(S, M) from full element arrays: stiffness c_A (b b' + c c') / (4 area),
     mass area/12 (1 + I), entries listed triangle-major and summed by tocsr()."""
-    b, c, area = mesh.b, mesh.c, mesh.area
+    b, c, area = element_geometry(mesh)
     Ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     Ke = c_A * Ke / (4.0 * area)[:, None, None]
     Me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
@@ -142,9 +162,11 @@ def plain_assemble(mesh: Mesh2D, c_A: float) -> tuple:
 
 
 def plain_load_vector(mesh: Mesh2D, g) -> np.ndarray:
-    """Interior load vector by the 6-point rule on ``quad_points``."""
+    """Interior load vector by the 6-point rule on ``quad_points``, with each
+    triangle's own area, in one pass over all triangles."""
+    area = element_geometry(mesh)[2]
     Fe = np.zeros((len(mesh.triangles), 3))
     for q, x in enumerate(quad_points(mesh)):
         gv = np.broadcast_to(np.asarray(g(*x.T), dtype=float), (len(mesh.triangles),))
-        Fe += (_QUAD_W[q] * mesh.area * gv)[:, None] * _QUAD_BARY[q][None, :]
-    return _scatter_to_interior(mesh, Fe)
+        Fe += (_QUAD_W[q] * area * gv)[:, None] * _QUAD_BARY[q][None, :]
+    return scatter_to_interior(mesh, Fe)

@@ -46,10 +46,10 @@ class LoadSource:
 
 
 def scalar_system(lam=0.0):
-    """1x1 surrogate: M = [1], S = [lam]; isolates the CQ recursion."""
-    return FemSystem(mesh=None, c_A=1.0,
-                     M=sp.csr_matrix(np.array([[1.0]])),
-                     S=sp.csr_matrix(np.array([[lam]])))
+    """1x1 surrogate: M = [1], S = [lam]; isolates the CQ recursion.  S stores
+    its entry even when it is zero, so it shares M's pattern."""
+    return FemSystem(mesh=None, c_A=1.0, M=sp.csr_matrix(np.array([[1.0]])),
+                     S=sp.csr_matrix(([float(lam)], [0], [0, 1]), shape=(1, 1)))
 
 
 def scalar_spec(alpha, N, lam=0.0, beta=None, u0=0.0, T=1.0):
