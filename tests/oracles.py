@@ -21,10 +21,16 @@
   ``test_fem.py::test_l2_project_matches_the_factored_oracle``.
 - ``quad_points``, ``plain_assemble`` and ``plain_load_vector``: the
   quadrature points as one (6, 2K^2, 2) array, and assembly and loads from
-  full (2K^2, 3, 3) element arrays and 64-bit index lists.  ``fem.assemble``
-  and ``fem.load_vector`` match them bit for bit
+  full (2K^2, 3, 3) element arrays and 64-bit index lists in one pass over
+  all triangles.  ``fem.assemble``'s stencils and ``fem.load_vector``'s
+  blocks match them bit for bit at power-of-two K, and to 4 ulps at K=6
   (``test_fem.py::test_lean_assembly_and_loads_match_plain_oracles``);
   the two oracles above integrate on these points.
+- ``element_geometry`` and ``scatter_to_interior``: each triangle's edge
+  differences b, c and area, from its vertices, which the element oracles
+  and ``test_fem.py::test_ritz_project_reproduces_mesh_function`` read (the
+  mesh keeps only the one area h^2/2), and the triangle-major sum of
+  element values into the interior nodes.
 """
 
 import math

@@ -200,7 +200,9 @@ def test_lean_assembly_and_loads_match_plain_oracles():
     indices, indptr and their dtypes, and the load vector of smooth, rough
     and constant data.  At K=6, whose spacing is not a power of two, the
     element arrays vary in their last bits from cell to cell; there the
-    pattern is the same and each entry lies within 4 ulps (3 measured)."""
+    pattern is the same, each entry of S and M lies within 4 ulps of its
+    own size and the loads within 4 ulps of their largest entry (3 and 3
+    measured)."""
     loads = (lambda x, y: np.exp(x) * np.cos(3.0 * y),
              lambda x, y: (x < 0.1).astype(float) + (y < -0.3).astype(float),
              lambda x, y: 2.5)
